@@ -86,7 +86,7 @@ Status OverloadedError(std::string message);
 // Shed with a retry-after hint.  The hint travels inside the message
 // (" [retry-after-ms=N]") so it survives every Status-only seam — the
 // control protocol additionally carries it as a typed field
-// (docs/PROTOCOL.md §3.6) and HTTP as a Retry-After header.
+// (docs/PROTOCOL.md §3.4) and HTTP as a Retry-After header.
 Status OverloadedError(std::string message, std::int64_t retry_after_ms);
 // The hint carried by an OverloadedError, in milliseconds; 0 when the
 // status is not kOverloaded or carries no hint.

@@ -132,13 +132,23 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     MutexLock lock(read_mu_);
     admitted_cost_ = cost;
   }
+  bool peer_ring;
+  {
+    // Stash the op's destination spans so a shm-lane response can scatter
+    // ring bytes straight into the caller's buffers.
+    MutexLock lock(read_mu_);
+    scatter_.clear();
+    if (!message.inline_out.empty()) scatter_.push_back(message.inline_out);
+    scatter_.insert(scatter_.end(), message.vec_out.begin(),
+                    message.vec_out.end());
+    peer_ring = peer_ring_;
+  }
   // Bulk payloads at/above the threshold leave the pipes for the ring —
-  // but only once the peer has advertised the shm data plane, so a
-  // pre-rev-2 sentinel never faces frames whose bytes it cannot find.
+  // but only when the sentinel attached it, so a sentinel whose attach
+  // failed never faces frames whose bytes it cannot find.
   const std::size_t out_len = OutboundPayloadSize(message);
-  bool use_ring =
-      ring_ != nullptr && out_len >= shm_threshold_ && out_len > 0 &&
-      peer_rev_.load(std::memory_order_relaxed) >= sentinel::kDataPlaneRev;
+  bool use_ring = ring_ != nullptr && peer_ring && out_len >= shm_threshold_ &&
+                  out_len > 0;
   if (use_ring && overload_ != OverloadPolicy::kBlock &&
       RingCongested(*ring_, ipc::ShmRing::kToSentinel, out_len)) {
     // Slow-consumer defense: the lane decision must precede the control
@@ -153,15 +163,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     }
     overload_metrics::RecordBrownout();
     use_ring = false;
-  }
-  {
-    // Stash the op's destination spans so a shm-lane response can scatter
-    // ring bytes straight into the caller's buffers.
-    MutexLock lock(read_mu_);
-    scatter_.clear();
-    if (!message.inline_out.empty()) scatter_.push_back(message.inline_out);
-    scatter_.insert(scatter_.end(), message.vec_out.begin(),
-                    message.vec_out.end());
   }
   AFS_RETURN_IF_ERROR(ipc::WriteFrame(
       fds_.control_write,
@@ -195,9 +196,7 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
 }
 
 Status PipeLink::AdoptResponse(ControlResponse& response) {
-  if (response.peer_rev > peer_rev_.load(std::memory_order_relaxed)) {
-    peer_rev_.store(response.peer_rev, std::memory_order_relaxed);
-  }
+  peer_ring_ = response.data_plane == sentinel::kDataPlaneRev;
   if ((response.lane & sentinel::kLaneShm) == 0 || response.lane_len == 0) {
     return Status::Ok();
   }
@@ -262,8 +261,9 @@ Result<ControlResponse> PipeLink::GetResponseInternal() {
     AFS_ASSIGN_OR_RETURN(ControlResponse response,
                          DecodeControlResponse(ByteSpan(frame)));
     if (lease_) lease_->Renew();
-    // Every frame — heartbeat or answer — latches the peer's data-plane
-    // revision; a shm-lane answer additionally drains its ring payload.
+    // Every frame — heartbeat or answer — reports whether the sentinel
+    // attached the ring; a shm-lane answer additionally drains its ring
+    // payload.
     AFS_RETURN_IF_ERROR(AdoptResponse(response));
     // ... and carries the cache-lease grant (heartbeats included: they are
     // how a recall reaches a client whose next op is still in this wait).
@@ -327,8 +327,6 @@ Result<ControlMessage> PipeEndpoint::AF_GetControl() {
     if (ready.code() != ErrorCode::kTimeout) return ready;
     if (heartbeat_interval_.count() > 0) {
       // Idle past one interval: tell the application side we are alive.
-      // Heartbeats advertise the data-plane revision too, so the link
-      // learns about the ring even before the first real answer.
       ControlResponse beat;
       beat.heartbeat = true;
       if (cache_state_ != nullptr) {

@@ -11,7 +11,6 @@
 //     ControlMessage, giving one user-level copy per transfer.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -104,10 +103,10 @@ class PipeLink final : public sentinel::SentinelLink {
   // Marks all application-side ends close-on-exec (exec-mode sentinels).
   Status SetCloexec();
 
-  // Attaches the shared ring (docs/PROTOCOL.md §3.5).  Payloads of at
-  // least `threshold` bytes ride it — but only once the peer has
-  // advertised the shm data plane in a response extension; until then
-  // everything stays on the pipes.
+  // Attaches the shared ring (docs/SHM_DATA_PLANE.md).  Payloads of at
+  // least `threshold` bytes ride it — but only when the sentinel's open
+  // banner reported that it attached the ring too; otherwise everything
+  // stays on the pipes.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring, std::size_t threshold);
 
   // Per-link admission budgets (docs/OVERLOAD.md): every op charges its
@@ -122,16 +121,11 @@ class PipeLink final : public sentinel::SentinelLink {
   // ring write.  Configure before the link is shared.
   void set_overload(OverloadPolicy policy) noexcept { overload_ = policy; }
 
-  // Latched from response extensions: 0 until the sentinel's first frame
-  // arrives, kDataPlaneRev once a ring-capable peer has answered.
-  std::uint8_t peer_rev() const noexcept override {
-    return peer_rev_.load(std::memory_order_relaxed);
-  }
-
  private:
-  // Latches the peer's advertised revision and, for a shm-lane response,
-  // pulls its payload off the ring — into the stashed destination spans of
-  // the op in flight when present, into response.payload otherwise.
+  // Records whether the sentinel attached the ring and, for a shm-lane
+  // response, pulls its payload off the ring — into the stashed
+  // destination spans of the op in flight when present, into
+  // response.payload otherwise.
   Status AdoptResponse(sentinel::ControlResponse& response)
       AFS_REQUIRES(read_mu_);
 
@@ -155,13 +149,14 @@ class PipeLink final : public sentinel::SentinelLink {
   std::unique_ptr<AdmissionGate> gate_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
   OverloadPolicy overload_ = OverloadPolicy::kBrownout;
-  // Monotonic latch; atomic so LinkHandle can gate vectored ops on it
-  // without taking the read lock.
-  std::atomic<std::uint8_t> peer_rev_{0};
 
   // Serializes readers of the response pipe: the application operation in
   // flight vs. the supervisor's heartbeat drain.
   Mutex read_mu_;
+  // Whether the sentinel attached the shared ring.  Every frame reports
+  // it, and the open banner (the session's first frame) settles it before
+  // any op is sent; it gates ring routing only.
+  bool peer_ring_ AFS_GUARDED_BY(read_mu_) = false;
   std::optional<sentinel::ControlResponse> pending_ AFS_GUARDED_BY(read_mu_);
   // Cost of the admitted op in flight; zero when none.  Swap-to-zero on
   // release keeps the gate balanced when Shutdown races a response.
@@ -190,7 +185,7 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   }
 
   // Attaches the shared ring (set before the dispatch loop starts).  Once
-  // attached, every response advertises kDataPlaneRev and payloads of at
+  // attached, every response reports it (kDataPlaneRev) and payloads of at
   // least `threshold` bytes ride the ring; inbound shm-lane writes are
   // drained from it instead of the data pipe.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring,

@@ -242,73 +242,46 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   Status SetEndOfFile() override { return SimpleOp(ControlOp::kSetEof); }
   Status Flush() override { return SimpleOp(ControlOp::kFlush); }
 
+  // The whole scatter list takes one crossing: the segment table rides
+  // the control frame, the bytes come back on the response lane (ring or
+  // frame) and land in the segments.
   Result<std::size_t> ReadScatter(
       std::span<MutableByteSpan> segments) override {
-    {
-      MutexLock lock(mu_);
-      if (!closed_ && !poisoned_ &&
-          link_->peer_rev() >= sentinel::kDataPlaneRev) {
-        // Rev-2 peers take the whole scatter list in one crossing: the
-        // segment table rides the control frame, the bytes come back on
-        // the response lane (ring or frame) and land in the segments.
-        ControlMessage msg;
-        msg.op = ControlOp::kReadVec;
-        std::size_t total = 0;
-        msg.payload = EncodeVecTable(segments, &total);
-        msg.length = static_cast<std::uint32_t>(total);
-        msg.vec_out.assign(segments.begin(), segments.end());
-        AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
-        if (!resp.payload.empty()) {
-          // Pipe lane: scatter the concatenated frame payload.
-          std::size_t at = 0;
-          for (auto& segment : segments) {
-            const std::size_t n =
-                std::min(segment.size(), resp.payload.size() - at);
-            std::memcpy(segment.data(), resp.payload.data() + at, n);
-            at += n;
-            if (at == resp.payload.size()) break;
-          }
-          return at;
-        }
-        return static_cast<std::size_t>(resp.number);
-      }
-    }
-    // Pre-rev-2 peer: the control channel still makes vectored reads
-    // expressible (paper §4.2) — they decompose into sequential reads at
-    // the sentinel's position, one crossing each.
+    MutexLock lock(mu_);
+    ControlMessage msg;
+    msg.op = ControlOp::kReadVec;
     std::size_t total = 0;
-    for (auto& segment : segments) {
-      AFS_ASSIGN_OR_RETURN(std::size_t n, Read(segment));
-      total += n;
-      if (n < segment.size()) break;
+    msg.payload = EncodeVecTable(segments, &total);
+    msg.length = static_cast<std::uint32_t>(total);
+    msg.vec_out.assign(segments.begin(), segments.end());
+    AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
+    if (!resp.payload.empty()) {
+      // Pipe lane: scatter the concatenated frame payload.
+      std::size_t at = 0;
+      for (auto& segment : segments) {
+        const std::size_t n =
+            std::min(segment.size(), resp.payload.size() - at);
+        std::memcpy(segment.data(), resp.payload.data() + at, n);
+        at += n;
+        if (at == resp.payload.size()) break;
+      }
+      return at;
     }
-    return total;
+    return static_cast<std::size_t>(resp.number);
   }
 
+  // One crossing for the whole gather list; the segments travel
+  // concatenated on the write lane (ring or pipe).
   Result<std::size_t> WriteGather(std::span<ByteSpan> segments) override {
-    {
-      MutexLock lock(mu_);
-      if (!closed_ && !poisoned_ &&
-          link_->peer_rev() >= sentinel::kDataPlaneRev) {
-        // One crossing for the whole gather list; the segments travel
-        // concatenated on the write lane (ring or pipe).
-        ControlMessage msg;
-        msg.op = ControlOp::kWriteVec;
-        std::size_t total = 0;
-        msg.payload = EncodeVecTable(segments, &total);
-        msg.length = static_cast<std::uint32_t>(total);
-        msg.vec_in.assign(segments.begin(), segments.end());
-        AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
-        return static_cast<std::size_t>(resp.number);
-      }
-    }
+    MutexLock lock(mu_);
+    ControlMessage msg;
+    msg.op = ControlOp::kWriteVec;
     std::size_t total = 0;
-    for (ByteSpan segment : segments) {
-      AFS_ASSIGN_OR_RETURN(std::size_t n, Write(segment));
-      total += n;
-      if (n < segment.size()) break;
-    }
-    return total;
+    msg.payload = EncodeVecTable(segments, &total);
+    msg.length = static_cast<std::uint32_t>(total);
+    msg.vec_in.assign(segments.begin(), segments.end());
+    AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
+    return static_cast<std::size_t>(resp.number);
   }
 
   Status LockRange(std::uint64_t offset, std::uint64_t length) override {
@@ -359,9 +332,9 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     if (closed_) return ClosedError("handle closed");
     if (poisoned_) return ClosedError("handle poisoned by transport failure");
     // The link leg of the trace: the sentinel parents its own span on this
-    // one (the ids travel in the message's trailing extension), and the
-    // spans it ships back in the response are adopted below — after this
-    // hop the local TraceLog holds the full app→link→sentinel tree.
+    // one (the ids travel in the command frame), and the spans it ships
+    // back in the response are adopted below — after this hop the local
+    // TraceLog holds the full app→link→sentinel tree.
     obs::Span span("link.roundtrip");
     msg.trace_id = span.trace_id();
     msg.parent_span = span.span_id();
@@ -373,7 +346,7 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     obs::ScopedLatencyTimer timer((n & 63) == 0 ? &latency : nullptr);
     AFS_FAULT_POINT("core.link.roundtrip");
     if (cache_channel_ != nullptr) {
-      // Lease request / recall ack ride the v4 message extension (§3.7).
+      // Lease request / recall ack ride the command frame (§3.4).
       msg.cache_flags = cache_channel_->OutgoingFlags();
     }
     Status sent = link_->AF_SendControl(msg);
@@ -397,7 +370,7 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     if (msg.op != ControlOp::kClose && !resp->status.ok()) {
       if (resp->status.code() == ErrorCode::kOverloaded &&
           resp->retry_after_ms > 0 && RetryAfterHintMs(resp->status) == 0) {
-        // Fold the wire's typed retry-after (protocol v3, §3.6) back into
+        // Fold the wire's typed retry-after (PROTOCOL.md §3.4) back into
         // the status so Status-only seams above us keep the hint.
         return OverloadedError(resp->status.message(), resp->retry_after_ms);
       }
@@ -903,8 +876,8 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
                      std::to_string(request.heartbeat_interval.count() / 1000));
     }
     if (ring) {
-      // An older binary ignores the flag and never stamps kDataPlaneRev in
-      // its responses, so the link keeps everything on pipes (§3.5).
+      // A sentinel whose attach fails reports it in its open banner, and
+      // the link keeps everything on pipes (docs/SHM_DATA_PLANE.md).
       argv.push_back("--shm-fd=" + std::to_string(ring->fd()));
       argv.push_back("--shm-threshold=" + std::to_string(shm.threshold));
     }

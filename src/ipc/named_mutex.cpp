@@ -39,7 +39,7 @@ NamedMutex& NamedMutex::operator=(NamedMutex&& other) noexcept {
 
 Status NamedMutex::EnsureOpen() {
   if (fd_ >= 0) return Status::Ok();
-  fd_ = ::open(path_.c_str(), O_CREAT | O_RDWR, 0644);
+  fd_ = ::open(path_.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
   if (fd_ < 0) {
     return IoError("open lock file " + path_ + ": " + std::strerror(errno));
   }
@@ -54,6 +54,10 @@ void NamedMutex::CloseFd() noexcept {
 }
 
 namespace {
+// Open-file-description locks (F_OFD_*): owned by this object's open of
+// the lock file, so two NamedMutex objects in one process exclude each
+// other — classic F_SETLK record locks are per-process and would not.
+// l_pid must be zero for OFD locks; the value-initialization sees to it.
 struct flock MakeLock(short type) {
   struct flock fl {};
   fl.l_type = type;
@@ -67,9 +71,9 @@ struct flock MakeLock(short type) {
 Status NamedMutex::Lock() {
   AFS_RETURN_IF_ERROR(EnsureOpen());
   struct flock fl = MakeLock(F_WRLCK);
-  while (::fcntl(fd_, F_SETLKW, &fl) != 0) {
+  while (::fcntl(fd_, F_OFD_SETLKW, &fl) != 0) {
     if (errno == EINTR) continue;
-    return IoError(std::string("fcntl F_SETLKW: ") + std::strerror(errno));
+    return IoError(std::string("fcntl F_OFD_SETLKW: ") + std::strerror(errno));
   }
   held_ = true;
   return Status::Ok();
@@ -78,11 +82,11 @@ Status NamedMutex::Lock() {
 Status NamedMutex::TryLock() {
   AFS_RETURN_IF_ERROR(EnsureOpen());
   struct flock fl = MakeLock(F_WRLCK);
-  if (::fcntl(fd_, F_SETLK, &fl) != 0) {
+  if (::fcntl(fd_, F_OFD_SETLK, &fl) != 0) {
     if (errno == EACCES || errno == EAGAIN) {
       return BusyError("lock held: " + path_);
     }
-    return IoError(std::string("fcntl F_SETLK: ") + std::strerror(errno));
+    return IoError(std::string("fcntl F_OFD_SETLK: ") + std::strerror(errno));
   }
   held_ = true;
   return Status::Ok();
@@ -91,7 +95,7 @@ Status NamedMutex::TryLock() {
 Status NamedMutex::Unlock() {
   if (!held_) return InvalidArgumentError("unlock without lock");
   struct flock fl = MakeLock(F_UNLCK);
-  if (::fcntl(fd_, F_SETLK, &fl) != 0) {
+  if (::fcntl(fd_, F_OFD_SETLK, &fl) != 0) {
     return IoError(std::string("fcntl unlock: ") + std::strerror(errno));
   }
   held_ = false;

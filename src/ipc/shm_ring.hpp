@@ -1,14 +1,14 @@
 // Cross-process shared-memory ring — the zero-copy bulk data plane for the
 // process strategies.
 //
-// ShmChannel (ipc/shm_channel.hpp) realizes the paper's Appendix A.3
-// "events and shared memory" transport *inside one process*; ShmRing is the
-// same idea generalized across a protection-domain boundary: one anonymous
-// memory file (memfd_create, shm_open fallback) mapped by both the
-// application and its sentinel, holding two single-producer/single-consumer
-// byte rings — one per direction — whose head/tail words are C++ atomics in
-// the shared mapping and whose blocking is futex waits on a per-direction
-// eventcount word.  A bulk payload crosses the domain boundary with exactly
+// core::ThreadRendezvous realizes the paper's Appendix A.3 "events and
+// shared memory" transport *inside one process*; ShmRing carries the same
+// idea across a protection-domain boundary: one anonymous memory file
+// (memfd_create, shm_open fallback) mapped by both the application and its
+// sentinel, holding two single-producer/single-consumer byte rings — one
+// per direction — whose head/tail words are C++ atomics in the shared
+// mapping and whose blocking is futex waits on a per-direction eventcount
+// word.  A bulk payload crosses the domain boundary with exactly
 // one user-level copy per side and no kernel data movement, which is what
 // closes most of the Figure 6 gap between the process strategies and the
 // DLL series (docs/SHM_DATA_PLANE.md).

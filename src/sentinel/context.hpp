@@ -70,7 +70,7 @@ class RemoteResolver {
 // A sentinel that wants to let its client cache blocks sets `read`/`write`
 // at open (grant policy) and bumps `epoch` + sets `recall` whenever the
 // content it proxies changes underneath the client; the dispatch glue
-// stamps these fields into every response's v4 extension and clears
+// stamps these fields into every response frame and clears
 // `recall` when the client acknowledges the drop.  Default: deny (no
 // lease, the client stays uncached).
 struct CacheGrant {
@@ -128,7 +128,7 @@ struct SentinelContext {
 // (docs/CACHING.md): cache=read grants a read lease, cache=write a
 // read+write lease, anything else leaves the default deny.  `lease_ms`
 // configures the duration (default 1000); epoch starts at 1 so clients
-// can tell "granted" from the all-zero v4 fields of an uncached peer.
+// can tell "granted" from the all-zero cache fields of an uncached peer.
 // Call from OnOpen after the sentinel knows it holds a revalidatable copy.
 inline void InitCacheGrantFromConfig(SentinelContext& ctx) {
   const std::string mode = ctx.config_or("cache", "none");

@@ -14,36 +14,29 @@
 
 namespace afs::sentinel {
 
-// Version byte of the trailing extension both frame types carry after
-// their length-prefixed payload.  Pre-extension decoders stop at the
-// payload and ignore the trailer; current decoders treat a missing trailer
-// as "no trace".  Bump only when the extension layout itself changes —
-// new fields go after the existing ones so older readers keep working.
-// v1 added trace propagation (docs/PROTOCOL.md §3.4); v2 added the shm
-// data-plane handshake: the responder's data-plane revision and the lane
-// bits routing bulk payloads through the shared ring (§3.5); v3 added the
-// overload shed hint: a u32 retry-after on responses whose status is
-// kOverloaded (§3.6); v4 added the cache-lease handshake: a u8 of cache
-// flags on messages and the grant/lease/epoch triple on responses (§3.7).
-inline constexpr std::uint8_t kControlExtVersion = 4;
+// Protocol version: byte 0 of every message and response frame.  Both
+// ends of a control channel are built from this one tree, so the frames
+// have one fixed layout (docs/PROTOCOL.md §3.4) and a decoder accepts only
+// this exact version.  A stale sentinel binary fails the open at its
+// banner with kProtocolError instead of misparsing commands mid-stream.
+inline constexpr std::uint8_t kControlVersion = 5;
 
-// Data-plane revision a sentinel advertises in every response's v2
-// extension.  Revision 2 means the peer understands the shm ring lane and
-// the vectored kReadVec/kWriteVec ops; an application link only routes
-// either at a peer whose advertised revision is >= this.  Zero (the v1
-// default) means "pipes only".
+// The `data_plane` value a responder stamps when its shared-memory ring is
+// attached (zero: pipes only).  An exec'd sentinel whose ring attach
+// failed reports zero, and the application link then keeps every payload
+// on the pipes.
 inline constexpr std::uint8_t kDataPlaneRev = 2;
 
-// Lane bit (message and response v2 extensions): the bulk payload of this
-// frame rides the shared-memory ring instead of the pipe/frame it would
-// classically use.
+// Lane bit (messages and responses): the bulk payload of this frame rides
+// the shared-memory ring instead of the pipe/frame it would classically
+// use.
 inline constexpr std::uint8_t kLaneShm = 0x01;
 
-// v4 cache-lease extension bits (docs/PROTOCOL.md §3.7, docs/CACHING.md).
+// Cache-lease bits (docs/PROTOCOL.md §3.4, docs/CACHING.md).
 // Message side — `cache_flags`:
 //   kCacheWantLease  : the client runs a block cache and wants a lease on
-//                      this bundle; old sentinels never see the byte and
-//                      grant nothing, degrading the client to passthrough.
+//                      this bundle; a sentinel without a grant policy
+//                      grants nothing, leaving the client in passthrough.
 //   kCacheRecallAck  : the client has dropped its cached blocks for the
 //                      epoch the sentinel is recalling; the sentinel clears
 //                      its recall latch (idempotent — a lost ack just means
@@ -72,8 +65,8 @@ enum class ControlOp : std::uint8_t {
   kUnlock = 8,   // offset, range_len
   kCustom = 9,   // payload in/out
   kClose = 10,
-  // Vectored multi-block transfers (data-plane rev 2): one crossing for a
-  // whole scatter/gather list.  Wire payload is the segment table
+  // Vectored multi-block transfers: one crossing for a whole
+  // scatter/gather list.  Wire payload is the segment table
   // (u32 count, then count u32 lengths); the bytes travel concatenated on
   // the write lane (kWriteVec) or in the response payload lane (kReadVec).
   kReadVec = 11,
@@ -88,19 +81,18 @@ struct ControlMessage {
   std::uint64_t range_len = 0;   // lock length
   Buffer payload;                // kCustom request body
 
-  // Trace propagation (rides the versioned trailing extension): the
-  // application-side trace id and the span the sentinel's work should
-  // parent under.  Zero means "untraced".
+  // Trace propagation: the application-side trace id and the span the
+  // sentinel's work should parent under.  Zero means "untraced".
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
 
-  // v2 extension: where this message's bulk payload travels.  kLaneShm
-  // set by pipe links that routed the kWrite/kWriteVec bytes through the
-  // shared ring; clear means the classic write pipe.
+  // Where this message's bulk payload travels.  kLaneShm set by pipe
+  // links that routed the kWrite/kWriteVec bytes through the shared ring;
+  // clear means the classic write pipe.
   std::uint8_t lane = 0;
 
-  // v4 extension: cache-lease request bits (kCacheWantLease,
-  // kCacheRecallAck).  Zero from pre-v4 peers and uncached clients.
+  // Cache-lease request bits (kCacheWantLease, kCacheRecallAck).  Zero
+  // from uncached clients.
   std::uint8_t cache_flags = 0;
 
   // Zero-copy lanes used only by in-process endpoints (thread/direct):
@@ -131,28 +123,27 @@ struct ControlResponse {
   // response.
   bool heartbeat = false;
 
-  // Spans the sentinel completed while serving this command (rides the
-  // versioned trailing extension home); the application-side link adopts
-  // them into its TraceLog, which is how one trace crosses the process
-  // boundary.
+  // Spans the sentinel completed while serving this command; the
+  // application-side link adopts them into its TraceLog, which is how one
+  // trace crosses the process boundary.
   std::vector<obs::SpanRecord> remote_spans;
 
-  // v2 extension: the responder's data-plane revision (kDataPlaneRev when
-  // a shared ring is attached, 0 from v1 peers) and, when kLaneShm is set,
-  // the length of the payload waiting in the ring instead of the frame.
-  std::uint8_t peer_rev = 0;
+  // kDataPlaneRev when the responder's shared ring is attached, else 0;
+  // and, when `lane` has kLaneShm set, the length of the payload waiting
+  // in the ring instead of the frame.
+  std::uint8_t data_plane = 0;
   std::uint8_t lane = 0;
   std::uint32_t lane_len = 0;
 
-  // v3 extension: when `status` is kOverloaded, how long (milliseconds)
-  // the responder suggests the client wait before retrying.  Zero from
-  // v2-or-older peers and on non-shed responses.
+  // When `status` is kOverloaded, how long (milliseconds) the responder
+  // suggests the client wait before retrying.  Zero on non-shed
+  // responses.
   std::uint32_t retry_after_ms = 0;
 
-  // v4 extension: the cache-lease grant (kGrantRead/kGrantWrite/
-  // kGrantRecall), its duration, and the sentinel's content epoch.  All
-  // zero from pre-v4 peers — the client then holds no lease and serves
-  // every op through the link (uncached passthrough).
+  // The cache-lease grant (kGrantRead/kGrantWrite/kGrantRecall), its
+  // duration, and the sentinel's content epoch.  All zero from sentinels
+  // that grant nothing — the client then holds no lease and serves every
+  // op through the link (uncached passthrough).
   std::uint8_t cache_grant = 0;
   std::uint32_t cache_lease_ms = 0;
   std::uint32_t cache_epoch = 0;
@@ -165,11 +156,11 @@ Buffer EncodeControlMessage(const ControlMessage& message, std::uint8_t lane);
 Result<ControlMessage> DecodeControlMessage(ByteSpan bytes);
 
 Buffer EncodeControlResponse(const ControlResponse& response);
-// Endpoint-side variant: stamps `peer_rev` and `lane` without copying the
-// response.  When `lane` has kLaneShm set the payload bytes are omitted
+// Endpoint-side variant: stamps `data_plane` and `lane` without copying
+// the response.  When `lane` has kLaneShm set the payload bytes are omitted
 // from the frame (they ride the ring) and `lane_len` carries their count.
 Buffer EncodeControlResponse(const ControlResponse& response,
-                             std::uint8_t peer_rev, std::uint8_t lane);
+                             std::uint8_t data_plane, std::uint8_t lane);
 Result<ControlResponse> DecodeControlResponse(ByteSpan bytes);
 
 }  // namespace afs::sentinel

@@ -59,10 +59,10 @@ Result<std::vector<std::uint32_t>> DecodeVecTable(ByteSpan payload) {
 
 }  // namespace
 
-// Stamps the sentinel's current cache-lease state into a response's v4
-// extension fields.  Every response (and the open banner) carries the
-// grant, which is what renews the client's lease without a dedicated
-// renewal op; kGrantRecall stays set until the client acks the drop.
+// Stamps the sentinel's current cache-lease state into a response's cache
+// fields.  Every response (and the open banner) carries the grant, which
+// is what renews the client's lease without a dedicated renewal op;
+// kGrantRecall stays set until the client acks the drop.
 void StampCacheGrant(const CacheGrant& grant, ControlResponse& response) {
   response.cache_grant = 0;
   if (grant.read) response.cache_grant |= kGrantRead;
@@ -86,9 +86,9 @@ OpOutcome PerformControlOp(
 
   // Spans opened while this command runs (the command span itself plus
   // anything nested, e.g. a remote fetch inside OnRead) are collected
-  // here and ride the response's trailing extension back to the
-  // application, where the link adopts them — that hop is what turns
-  // per-process span fragments into one cross-process trace.
+  // here and ride the response frame back to the application, where the
+  // link adopts them — that hop is what turns per-process span fragments
+  // into one cross-process trace.
   std::vector<obs::SpanRecord> collected;
   {
     obs::SpanCollectorScope collect(&collected);

@@ -31,7 +31,7 @@ struct OpOutcome {
   OpVerdict verdict = OpVerdict::kRespond;
 };
 
-// Stamps the context's current CacheGrant into `response`'s v4 extension
+// Stamps the context's current CacheGrant into `response`'s cache
 // fields (grant bits, lease duration, content epoch).  PerformControlOp
 // does this for every serviced command; hosts that build the open banner
 // themselves (RunSentinelLoop, the loop host) call it on the banner too so

@@ -48,7 +48,7 @@ class FileHandle {
 
   // Vectored write (Win32 WriteFileGather).  Defaults to sequential
   // writes at the file pointer; command-strategy handles override it with
-  // a single-crossing gather (data-plane rev 2).
+  // a single-crossing gather.
   virtual Result<std::size_t> WriteGather(std::span<ByteSpan> segments) {
     std::size_t total = 0;
     for (ByteSpan segment : segments) {

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "core/links.hpp"
+#include "ipc/framing.hpp"
 #include "sentinel/control.hpp"
 #include "test_util.hpp"
 
@@ -50,7 +51,7 @@ TEST(ControlCodecTest, GarbageRejected) {
   EXPECT_EQ(DecodeControlMessage(ByteSpan(junk)).status().code(),
             ErrorCode::kProtocolError);
   Buffer bad_op = EncodeControlMessage(ControlMessage{});
-  bad_op[0] = 0xEE;
+  bad_op[1] = 0xEE;  // byte 0 is the version, byte 1 the op
   EXPECT_EQ(DecodeControlMessage(ByteSpan(bad_op)).status().code(),
             ErrorCode::kProtocolError);
 }
@@ -89,29 +90,123 @@ TEST(ControlCodecTest, ExplicitRetryAfterFieldBeatsTheMessageTag) {
   EXPECT_EQ(decoded->retry_after_ms, 40u);
 }
 
-TEST(ControlCodecTest, V2ResponseWithoutOverloadExtensionDecodes) {
-  // A v2 peer's frame ends at lane_len; the decoder must leave the hint at
-  // its zero default instead of rejecting the shorter extension.
-  ControlResponse resp;  // empty message and payload: fixed layout below
-  Buffer wire = EncodeControlResponse(resp);
-  // flags(1) + code(2) + msg(4+0) + number(8) + payload(4+0) = offset 19.
-  ASSERT_EQ(wire[19], kControlExtVersion);
-  wire[19] = 2;
-  wire.resize(wire.size() - 4);  // drop the v3 retry_after_ms field
-  auto decoded = DecodeControlResponse(ByteSpan(wire));
-  ASSERT_OK(decoded.status());
-  EXPECT_EQ(decoded->retry_after_ms, 0u);
+// A message and a response with every field populated, so each byte of
+// the fixed layout is exercised by the truncation sweep below.
+ControlMessage FullMessage() {
+  ControlMessage msg;
+  msg.op = ControlOp::kWriteVec;
+  msg.length = 4096;
+  msg.offset = -17;
+  msg.origin = 1;
+  msg.range_len = 99;
+  msg.payload = ToBuffer("segment-table");
+  msg.trace_id = 0x1111;
+  msg.parent_span = 0x2222;
+  msg.lane = kLaneShm;
+  msg.cache_flags = kCacheWantLease;
+  return msg;
 }
 
-TEST(ControlCodecTest, TruncatedOverloadExtensionRejected) {
+ControlResponse FullResponse() {
   ControlResponse resp;
-  Buffer wire = EncodeControlResponse(resp);
-  wire.resize(wire.size() - 2);  // declared v3, but the field is torn
-  EXPECT_EQ(DecodeControlResponse(ByteSpan(wire)).status().code(),
+  resp.status = OverloadedError("shed", 30);
+  resp.number = 4096;
+  resp.payload = ToBuffer("read-bytes");
+  resp.remote_spans.push_back(
+      obs::SpanRecord{0x1111, 0x3333, 0x2222, 7, 100, 5, "sentinel.read"});
+  resp.data_plane = kDataPlaneRev;
+  resp.cache_grant = kGrantRead;
+  resp.cache_lease_ms = 500;
+  resp.cache_epoch = 9;
+  return resp;
+}
+
+TEST(ControlCodecTest, EveryStrictPrefixIsRejected) {
+  const Buffer message = EncodeControlMessage(FullMessage());
+  ASSERT_OK(DecodeControlMessage(ByteSpan(message)).status());
+  for (std::size_t n = 0; n < message.size(); ++n) {
+    EXPECT_EQ(DecodeControlMessage(ByteSpan(message.data(), n))
+                  .status()
+                  .code(),
+              ErrorCode::kProtocolError)
+        << "message prefix of " << n << " bytes";
+  }
+  const Buffer response = EncodeControlResponse(FullResponse());
+  ASSERT_OK(DecodeControlResponse(ByteSpan(response)).status());
+  for (std::size_t n = 0; n < response.size(); ++n) {
+    EXPECT_EQ(DecodeControlResponse(ByteSpan(response.data(), n))
+                  .status()
+                  .code(),
+              ErrorCode::kProtocolError)
+        << "response prefix of " << n << " bytes";
+  }
+}
+
+TEST(ControlCodecTest, WrongVersionIsRejected) {
+  Buffer message = EncodeControlMessage(FullMessage());
+  Buffer response = EncodeControlResponse(FullResponse());
+  ASSERT_EQ(message[0], kControlVersion);
+  ASSERT_EQ(response[0], kControlVersion);
+  const std::uint8_t next = kControlVersion + 1;
+  for (std::uint8_t version : {std::uint8_t{0}, std::uint8_t{4}, next}) {
+    message[0] = version;
+    response[0] = version;
+    EXPECT_EQ(DecodeControlMessage(ByteSpan(message)).status().code(),
+              ErrorCode::kProtocolError);
+    EXPECT_EQ(DecodeControlResponse(ByteSpan(response)).status().code(),
+              ErrorCode::kProtocolError);
+  }
+}
+
+TEST(ControlCodecTest, TrailingBytesAreRejected) {
+  Buffer message = EncodeControlMessage(FullMessage());
+  Buffer response = EncodeControlResponse(FullResponse());
+  message.push_back(0);
+  response.push_back(0);
+  EXPECT_EQ(DecodeControlMessage(ByteSpan(message)).status().code(),
+            ErrorCode::kProtocolError);
+  EXPECT_EQ(DecodeControlResponse(ByteSpan(response)).status().code(),
             ErrorCode::kProtocolError);
 }
 
+TEST(ControlCodecTest, RingAttachAndHeartbeatFlagsRoundTrip) {
+  // Ring attachment and heartbeat share the response flags byte; each
+  // must survive without disturbing the other.
+  for (bool ring : {false, true}) {
+    for (bool heartbeat : {false, true}) {
+      ControlResponse resp = FullResponse();
+      resp.heartbeat = heartbeat;
+      const Buffer wire =
+          EncodeControlResponse(resp, ring ? kDataPlaneRev : 0, kLaneShm);
+      auto decoded = DecodeControlResponse(ByteSpan(wire));
+      ASSERT_OK(decoded.status());
+      EXPECT_EQ(decoded->data_plane, ring ? kDataPlaneRev : 0);
+      EXPECT_EQ(decoded->heartbeat, heartbeat);
+      EXPECT_EQ(decoded->lane, kLaneShm);
+      // The shm lane carries the payload beside the frame, not in it.
+      EXPECT_EQ(decoded->lane_len, resp.payload.size());
+      EXPECT_TRUE(decoded->payload.empty());
+      ASSERT_EQ(decoded->remote_spans.size(), 1u);
+      EXPECT_EQ(decoded->remote_spans[0].name, "sentinel.read");
+    }
+  }
+}
+
 // ---- transports -------------------------------------------------------
+
+TEST(PipeLinkTest, WrongVersionBannerFailsTheOpen) {
+  // A stale sentinel binary speaks another frame version; its open banner
+  // is the first frame the link decodes, so the mismatch surfaces there.
+  auto pair = core::CreatePipePair();
+  ASSERT_OK(pair.status());
+  core::PipeLink link(std::move(pair->first));
+  core::PipeEndpointFds endpoint = std::move(pair->second);
+  Buffer banner = EncodeControlResponse(ControlResponse{});
+  banner[0] = kControlVersion - 1;
+  ASSERT_OK(ipc::WriteFrame(endpoint.response_write, ByteSpan(banner)));
+  EXPECT_EQ(link.AF_GetResponse().status().code(),
+            ErrorCode::kProtocolError);
+}
 
 TEST(PipeLinkTest, CommandAndResponseCrossPipes) {
   auto pair = core::CreatePipePair();

@@ -10,7 +10,7 @@
 //      the registry (this file carries the tsan label), plus the snapshot
 //      invariant count == sum(buckets) under racing recorders.
 //   3. Trace plumbing — span parenting, the collector scope, the wire
-//      codec for the response extension, and the renderers (including the
+//      codec for the response frame, and the renderers (including the
 //      cycle guards that keep corrupt peer data from recursing forever).
 #include <gtest/gtest.h>
 

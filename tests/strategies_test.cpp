@@ -267,5 +267,54 @@ TEST_F(PlainProcessTest, WritesReachDataPartAfterClose) {
   EXPECT_EQ(ToString(ByteSpan(*data)), "via-pipes");
 }
 
+// ---- vectored ops on a process-control handle ---------------------------
+
+class VectoredProcessControlTest : public PlainProcessTest {};
+
+TEST_F(VectoredProcessControlTest, ScatterAndGatherTakeOneCrossingOffTheRing) {
+  // With the shm ring off every byte rides the pipes, yet an 8-segment
+  // scatter or gather is still one command/response crossing.
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = "process_control";
+  spec.config["shm_threshold"] = "off";
+  ASSERT_OK(manager_.CreateActiveFile("v.af", spec));
+  auto handle = api_.OpenFile("v.af", vfs::OpenMode::kReadWrite);
+  ASSERT_OK(handle.status());
+  obs::Counter& roundtrips =
+      obs::Registry::Global().GetCounter("core.link.roundtrips");
+
+  constexpr int kSegments = 8;
+  std::vector<std::string> parts;
+  std::vector<ByteSpan> gather;
+  for (int i = 0; i < kSegments; ++i) {
+    parts.push_back(std::string(16 + i, static_cast<char>('a' + i)));
+  }
+  for (const std::string& part : parts) gather.push_back(AsBytes(part));
+  const std::uint64_t before_write = roundtrips.Value();
+  auto wrote = api_.WriteFileGather(*handle, gather);
+  ASSERT_OK(wrote.status());
+  EXPECT_EQ(roundtrips.Value() - before_write, 1u);
+
+  std::size_t total = 0;
+  for (const std::string& part : parts) total += part.size();
+  EXPECT_EQ(*wrote, total);
+  ASSERT_OK(api_.SetFilePointer(*handle, 0, vfs::SeekOrigin::kBegin).status());
+
+  std::vector<Buffer> out;
+  std::vector<MutableByteSpan> scatter;
+  for (const std::string& part : parts) out.emplace_back(part.size());
+  for (Buffer& segment : out) scatter.push_back(MutableByteSpan(segment));
+  const std::uint64_t before_read = roundtrips.Value();
+  auto got = api_.ReadFileScatter(*handle, scatter);
+  ASSERT_OK(got.status());
+  EXPECT_EQ(roundtrips.Value() - before_read, 1u);
+  EXPECT_EQ(*got, total);
+  for (int i = 0; i < kSegments; ++i) {
+    EXPECT_EQ(ToString(ByteSpan(out[i])), parts[i]);
+  }
+  ASSERT_OK(api_.CloseHandle(*handle));
+}
+
 }  // namespace
 }  // namespace afs

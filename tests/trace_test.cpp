@@ -3,8 +3,8 @@
 // The claim under test: one application-level operation on an active file
 // yields ONE causally-linked span tree, no matter which of the four
 // command strategies mediates it — including when the sentinel lives in
-// another process (the ids cross the pipe in the control frame's trailing
-// extension, and the sentinel's spans ride the response back), and
+// another process (the ids cross the pipe in the control frame, and the
+// sentinel's spans ride the response back), and
 // including across a PR-4 supervised restart (the replacement sentinel's
 // spans join the same trace).
 #include <gtest/gtest.h>

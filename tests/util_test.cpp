@@ -1,151 +1,16 @@
-// Unit tests for util: ring buffer, blocking queue, crc32, prng, strings,
-// rate limiter.
+// Unit tests for util: crc32, prng, strings, rate limiter.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "common/clock.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 #include "util/rate_limiter.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/strings.hpp"
 
 namespace afs {
 namespace {
-
-TEST(RingBufferTest, BasicWriteRead) {
-  RingBuffer ring(8);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.Write(AsBytes("abc")), 3u);
-  EXPECT_EQ(ring.size(), 3u);
-  Buffer out(3);
-  EXPECT_EQ(ring.Read(MutableByteSpan(out)), 3u);
-  EXPECT_EQ(ToString(ByteSpan(out)), "abc");
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(RingBufferTest, WrapsAround) {
-  RingBuffer ring(4);
-  Buffer out(4);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_EQ(ring.Write(AsBytes("xy")), 2u);
-    EXPECT_EQ(ring.Read(MutableByteSpan(out.data(), 2)), 2u);
-    EXPECT_EQ(out[0], 'x');
-    EXPECT_EQ(out[1], 'y');
-  }
-}
-
-TEST(RingBufferTest, PartialWriteWhenFull) {
-  RingBuffer ring(4);
-  EXPECT_EQ(ring.Write(AsBytes("abcdef")), 4u);
-  EXPECT_TRUE(ring.full());
-  EXPECT_EQ(ring.Write(AsBytes("x")), 0u);
-  Buffer out(6);
-  EXPECT_EQ(ring.Read(MutableByteSpan(out)), 4u);
-  EXPECT_EQ(ToString(ByteSpan(out.data(), 4)), "abcd");
-}
-
-TEST(RingBufferTest, PeekDoesNotConsume) {
-  RingBuffer ring(8);
-  ring.Write(AsBytes("peekme"));
-  Buffer out(4);
-  EXPECT_EQ(ring.Peek(MutableByteSpan(out)), 4u);
-  EXPECT_EQ(ToString(ByteSpan(out)), "peek");
-  EXPECT_EQ(ring.size(), 6u);
-  EXPECT_EQ(ring.Discard(4), 4u);
-  EXPECT_EQ(ring.Read(MutableByteSpan(out.data(), 2)), 2u);
-  EXPECT_EQ(ToString(ByteSpan(out.data(), 2)), "me");
-}
-
-TEST(RingBufferTest, ClearResets) {
-  RingBuffer ring(4);
-  ring.Write(AsBytes("ab"));
-  ring.Clear();
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.free_space(), 4u);
-}
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_EQ(q.Pop().value(), 3);
-}
-
-TEST(BlockingQueueTest, PopBlocksUntilPush) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.Push(99);
-  });
-  EXPECT_EQ(q.Pop().value(), 99);
-  producer.join();
-}
-
-TEST(BlockingQueueTest, BoundedPushBlocks) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));
-  EXPECT_FALSE(q.TryPush(2));  // full
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)q.Pop();
-  });
-  EXPECT_TRUE(q.Push(2));  // unblocked by the pop
-  consumer.join();
-}
-
-TEST(BlockingQueueTest, CloseDrainsThenEnds) {
-  BlockingQueue<int> q;
-  q.Push(7);
-  q.Close();
-  EXPECT_FALSE(q.Push(8));
-  EXPECT_EQ(q.Pop().value(), 7);  // drains buffered items
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BlockingQueueTest, PopForTimesOut) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.PopFor(std::chrono::microseconds(5000)).has_value());
-}
-
-TEST(BlockingQueueTest, PushForTimesOutWhenFull) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.PushFor(1, std::chrono::microseconds(1000)));
-  EXPECT_FALSE(q.PushFor(2, std::chrono::microseconds(5000)));  // stays full
-  (void)q.Pop();
-  EXPECT_TRUE(q.PushFor(3, std::chrono::microseconds(1000)));
-}
-
-TEST(BlockingQueueTest, PushForSucceedsWhenConsumerFreesASlot) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)q.Pop();
-  });
-  EXPECT_TRUE(q.PushFor(2, std::chrono::seconds(5)));  // woken by the pop
-  consumer.join();
-}
-
-TEST(BlockingQueueTest, CloseWakesPusherParkedOnFullQueue) {
-  // The shutdown-while-full case: a producer blocked on a full queue must
-  // observe Close() immediately — not ride out its deadline, and not
-  // deadlock a teardown that joins it.
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));
-  std::thread producer([&] {
-    EXPECT_FALSE(q.PushFor(2, std::chrono::seconds(30)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  producer.join();  // bounded by the test timeout, not the 30s deadline
-  EXPECT_FALSE(q.Push(3));
-}
 
 TEST(Crc32Test, KnownVectors) {
   // Standard test vector: CRC32("123456789") = 0xCBF43926.
