@@ -13,27 +13,24 @@
 //     for a lease and acknowledges recalls.  Revoke is the supervision
 //     hook: a dead sentinel's lease is void immediately, not at expiry.
 //
-//   CachedHandle — wraps a strategy-opened (possibly supervised) handle.
-//     While a read lease is live, reads are served from 4 KiB blocks in
-//     client memory and never cross the IPC boundary; a write lease adds
-//     bounded write-behind whose dirty blocks flush through the inner
-//     handle's positional write path, so supervised restart and
-//     kill-replay stay byte-exact.  A stale lease is renewed with one
-//     cheap crossing before any cached byte is served; a recall or
-//     revocation flushes dirty blocks and drops the rest.
+//   ClientCacheOptions — the spec's cache=/cache_bytes keys.  The cache
+//     stage of core::ActiveFileHandle (core/active_file.hpp) consumes
+//     both: while a read lease is live, reads are served from 4 KiB blocks
+//     in client memory and never cross the IPC boundary; a write lease
+//     adds bounded write-behind whose dirty blocks flush through the
+//     supervised positional write path, so restart and kill-replay stay
+//     byte-exact.  A stale lease is renewed with one cheap crossing before
+//     any cached byte is served; a recall or revocation flushes dirty
+//     blocks and drops the rest.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <string>
 
-#include "common/mutex.hpp"
 #include "common/status.hpp"
-#include "core/overload.hpp"
-#include "core/strategies.hpp"
 #include "sentinel/control.hpp"
-#include "vfs/file_handle.hpp"
 
 namespace afs::core {
 
@@ -44,8 +41,8 @@ namespace afs::core {
 // off here.)
 enum class ClientCacheMode : std::uint8_t { kOff = 0, kRead = 1, kWrite = 2 };
 
-// The lease state shared between the link (observer side) and the cached
-// handle (consumer side).  Lock-free: links observe from their transport
+// The lease state shared between the link (observer side) and the cache
+// stage (consumer side).  Lock-free: links observe from their transport
 // threads while the handle snapshots from the op path.
 class CacheLeaseChannel {
  public:
@@ -76,7 +73,7 @@ class CacheLeaseChannel {
   // recall-clear.
   std::uint8_t OutgoingFlags() const noexcept;
 
-  // Called by the cached handle after it has dropped its blocks for the
+  // Called by the cache stage after it has dropped its blocks for the
   // recalled epoch; the next outbound message carries the ack.
   void AckRecall() noexcept;
 
@@ -101,8 +98,14 @@ class CacheLeaseChannel {
   std::atomic<bool> ever_granted_{false};
 };
 
-// Options for one cached open, parsed from the spec by the manager:
-//   cache        : read | write (off never constructs a CachedHandle)
+// Client cache granularity.  One block is also the unit the dirty budget
+// charges: a block's first dirtying admits one block against the budget
+// and its flush releases it, so `cache_bytes` bounds un-flushed
+// write-behind exactly the way admit_queue_bytes bounds a link's queue.
+inline constexpr std::size_t kCacheBlockSize = 4096;
+
+// Options for one cached open, parsed from the spec:
+//   cache        : read | write (off leaves the handle without a cache)
 //   cache_bytes  : total block-cache budget (default 256 KiB); also the
 //                  AdmissionGate budget bounding dirty write-behind bytes
 //   lease_ms     : granted by the sentinel; the client only consumes it
@@ -120,13 +123,5 @@ ClientCacheOptions ClientCacheOptionsFromSpec(
 // (legacy data-part values imply no client cache), read -> kRead,
 // write -> kWrite.
 Result<ClientCacheMode> ParseClientCacheMode(std::string_view name);
-
-// Wraps `inner` (the strategy/supervised stub) in the lease-consuming
-// block cache.  `channel` must be the same channel the inner handle's
-// link observes responses into.
-std::unique_ptr<vfs::FileHandle> WrapCached(
-    std::unique_ptr<vfs::FileHandle> inner,
-    std::shared_ptr<CacheLeaseChannel> channel,
-    const ClientCacheOptions& options);
 
 }  // namespace afs::core

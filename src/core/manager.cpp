@@ -3,8 +3,8 @@
 #include <filesystem>
 
 #include "common/faultpoint.hpp"
+#include "core/active_file.hpp"
 #include "core/bundle.hpp"
-#include "core/cache.hpp"
 #include "core/session_journal.hpp"
 #include "vfs/paths.hpp"
 
@@ -87,13 +87,7 @@ Result<Buffer> ActiveFileManager::Control(vfs::HandleId handle,
   if (raw == nullptr) {
     return InvalidArgumentError("bad handle " + std::to_string(handle));
   }
-  auto* active = dynamic_cast<ActiveHandle*>(raw);
-  if (active == nullptr) {
-    return UnsupportedError(
-        "handle has no control channel (passive file or plain process "
-        "strategy)");
-  }
-  return active->Control(request);
+  return raw->Control(request);
 }
 
 Result<std::unique_ptr<vfs::FileHandle>> ActiveFileManager::TryOpen(
@@ -127,31 +121,8 @@ Result<std::unique_ptr<vfs::FileHandle>> ActiveFileManager::TryOpen(
     AFS_ASSIGN_OR_RETURN(strategy, ParseStrategy(it->second));
   }
 
-  // Client-side block cache (cache=read|write, docs/CACHING.md): the
-  // channel rides the OpenRequest so every link incarnation — including
-  // supervised restarts — observes grants into it, and the stub gets
-  // wrapped in the lease-consuming CachedHandle below.  The plain process
-  // strategy cannot seek, which the block cache's flush path requires, so
-  // it stays uncached (its spec parse also rejects non-legacy modes only
-  // here, keeping old bundles valid).
-  const ClientCacheOptions cache_options =
-      ClientCacheOptionsFromSpec(request.spec.config);
-  const bool client_cache = cache_options.mode != ClientCacheMode::kOff &&
-                            strategy != Strategy::kProcess;
-  if (client_cache) {
-    request.cache_channel = std::make_shared<CacheLeaseChannel>();
-  }
-
-  // Bundles that opt in ("supervise=1") get the crash-recovering wrapper;
-  // everybody else keeps the classic handle and its fail-fast semantics.
-  AFS_ASSIGN_OR_RETURN(RestartPolicy policy,
-                       RestartPolicy::FromSpec(request.spec.config));
-  Result<std::unique_ptr<vfs::FileHandle>> opened =
-      policy.supervised ? OpenSupervised(supervisor_, *journal_, registry_,
-                                         strategy, request, policy)
-                        : OpenWithStrategy(strategy, registry_, request);
-  if (!opened.ok() || !client_cache) return opened;
-  return WrapCached(std::move(*opened), request.cache_channel, cache_options);
+  return OpenActiveFile(supervisor_, *journal_, registry_, strategy,
+                        std::move(request));
 }
 
 }  // namespace afs::core

@@ -81,9 +81,8 @@ class ActiveFileManager final : public vfs::OpenInterceptor {
   ManagerOptions options_;
   bool installed_ = false;
 
-  // Supervision plumbing: bundles whose spec opts in ("supervise=1") are
-  // opened through OpenSupervised with these; everything else keeps the
-  // classic unsupervised path.
+  // Supervision plumbing for the handles whose spec opts in
+  // ("supervise=1"); everything else keeps fail-fast semantics.
   Supervisor supervisor_;
   std::unique_ptr<SessionJournal> journal_;
 };

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/faultpoint.hpp"
-#include "common/mutex.hpp"
 #include "core/cache.hpp"
 #include "core/links.hpp"
 #include "core/loop_host.hpp"
@@ -179,7 +178,7 @@ SentinelContext BuildContext(const OpenRequest& request,
 // ---------------------------------------------------------------------
 // Stub for the command strategies (process-plus-control and thread): a
 // FileHandle whose every operation becomes a control message.
-class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
+class LinkHandle final : public vfs::FileHandle {
  public:
   LinkHandle(sentinel::SentinelLink* link, std::shared_ptr<void> keepalive,
              std::function<void()> cleanup,
@@ -189,13 +188,9 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
         cleanup_(std::move(cleanup)),
         cache_channel_(std::move(cache_channel)) {}
 
-  ~LinkHandle() override {
-    MutexLock lock(mu_);
-    if (!closed_) RunCleanup();
-  }
+  ~LinkHandle() override { Abort(); }
 
   Result<std::size_t> Read(MutableByteSpan out) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kRead;
     msg.length = static_cast<std::uint32_t>(out.size());
@@ -211,7 +206,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   Result<std::size_t> Write(ByteSpan data) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kWrite;
     msg.length = static_cast<std::uint32_t>(data.size());
@@ -222,7 +216,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
 
   Result<std::uint64_t> Seek(std::int64_t offset,
                              vfs::SeekOrigin origin) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kSeek;
     msg.offset = offset;
@@ -232,7 +225,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   Result<std::uint64_t> Size() override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kGetSize;
     AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
@@ -247,7 +239,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   // frame) and land in the segments.
   Result<std::size_t> ReadScatter(
       std::span<MutableByteSpan> segments) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kReadVec;
     std::size_t total = 0;
@@ -273,7 +264,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   // One crossing for the whole gather list; the segments travel
   // concatenated on the write lane (ring or pipe).
   Result<std::size_t> WriteGather(std::span<ByteSpan> segments) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kWriteVec;
     std::size_t total = 0;
@@ -291,9 +281,9 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     return RangeOp(ControlOp::kUnlock, offset, length);
   }
 
-  // Application-specific command (exposed via ActiveFileManager::Control).
+  // Application-specific command, tunneled to the sentinel's OnControl
+  // (the control channel's extensibility, paper Section 4.2).
   Result<Buffer> Control(ByteSpan request) override {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = ControlOp::kCustom;
     msg.payload.assign(request.begin(), request.end());
@@ -304,13 +294,13 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   // Tears the connection down without the close protocol; used when the
   // open banner reports failure (the sentinel loop has already exited).
   void Abort() {
-    MutexLock lock(mu_);
-    RunCleanup();
+    if (cleanup_) {
+      cleanup_();
+      cleanup_ = nullptr;
+    }
   }
 
   Status Close() override {
-    MutexLock lock(mu_);
-    if (closed_) return Status::Ok();
     ControlMessage msg;
     msg.op = ControlOp::kClose;
     Status status = Status::Ok();
@@ -320,16 +310,14 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     } else if (resp.status().code() != ErrorCode::kClosed) {
       status = resp.status();
     }
-    RunCleanup();
+    Abort();
     return status;
   }
 
  private:
   // One command/response exchange with the sentinel — the rendezvous
   // path the event-loop refactor must multiplex.
-  Result<ControlResponse> RoundTrip(ControlMessage& msg)
-      AFS_NONBLOCKING AFS_REQUIRES(mu_) {
-    if (closed_) return ClosedError("handle closed");
+  Result<ControlResponse> RoundTrip(ControlMessage& msg) AFS_NONBLOCKING {
     if (poisoned_) return ClosedError("handle poisoned by transport failure");
     // The link leg of the trace: the sentinel parents its own span on this
     // one (the ids travel in the command frame), and the spans it ships
@@ -384,7 +372,7 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   // is dead from here on: this op reports what happened — kTimeout stays
   // kTimeout, anything else collapses to kClosed — and every later op gets
   // kClosed immediately instead of blocking on a broken link.
-  Status Poison(Status cause) AFS_REQUIRES(mu_) {
+  Status Poison(Status cause) {
     poisoned_ = true;
     if (cause.code() == ErrorCode::kTimeout ||
         cause.code() == ErrorCode::kClosed) {
@@ -394,7 +382,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   Status SimpleOp(ControlOp op) {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = op;
     AFS_ASSIGN_OR_RETURN(ControlResponse resp, RoundTrip(msg));
@@ -403,7 +390,6 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   Status RangeOp(ControlOp op, std::uint64_t offset, std::uint64_t length) {
-    MutexLock lock(mu_);
     ControlMessage msg;
     msg.op = op;
     msg.offset = static_cast<std::int64_t>(offset);
@@ -413,28 +399,18 @@ class LinkHandle final : public vfs::FileHandle, public ActiveHandle {
     return Status::Ok();
   }
 
-  void RunCleanup() AFS_REQUIRES(mu_) {
-    closed_ = true;
-    if (cleanup_) {
-      cleanup_();
-      cleanup_ = nullptr;
-    }
-  }
-
-  Mutex mu_;
-  sentinel::SentinelLink* link_ AFS_GUARDED_BY(mu_);
-  // afs-lint: allow(guarded-member: set at construction; only extends the resource bundle's lifetime)
-  std::shared_ptr<void> keepalive_;
-  // afs-lint: allow(guarded-member: set at construction; the channel is internally lock-free)
+  sentinel::SentinelLink* const link_;
+  // Only extends the resource bundle's lifetime.
+  const std::shared_ptr<void> keepalive_;
+  std::function<void()> cleanup_;  // null once the link is torn down
+  // Internally lock-free; shared with the link's transport threads.
   const std::shared_ptr<CacheLeaseChannel> cache_channel_;
-  std::function<void()> cleanup_ AFS_GUARDED_BY(mu_);
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
-  bool poisoned_ AFS_GUARDED_BY(mu_) = false;
+  bool poisoned_ = false;
 };
 
 // ---------------------------------------------------------------------
 // DLL-only strategy: operations call the sentinel directly.
-class DirectHandle final : public vfs::FileHandle, public ActiveHandle {
+class DirectHandle final : public vfs::FileHandle {
  public:
   DirectHandle(std::unique_ptr<sentinel::Sentinel> sent, SentinelContext ctx,
                CacheAssembly cache)
@@ -444,14 +420,9 @@ class DirectHandle final : public vfs::FileHandle, public ActiveHandle {
     ctx_.cache = cache_.store.get();
   }
 
-  ~DirectHandle() override {
-    MutexLock lock(mu_);
-    if (!closed_) (void)DoClose();
-  }
+  ~DirectHandle() override { (void)Close(); }
 
   Result<std::size_t> Read(MutableByteSpan out) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     // Same span name the dispatch loop uses, so direct-strategy traces
     // have the same shape as command-strategy ones minus the link leg.
     obs::Span span("sentinel.read");
@@ -462,8 +433,6 @@ class DirectHandle final : public vfs::FileHandle, public ActiveHandle {
   }
 
   Result<std::size_t> Write(ByteSpan data) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     obs::Span span("sentinel.write");
     AFS_FAULT_POINT("core.direct.op");
     AFS_ASSIGN_OR_RETURN(std::size_t n, sentinel_->OnWrite(ctx_, data));
@@ -473,85 +442,45 @@ class DirectHandle final : public vfs::FileHandle, public ActiveHandle {
 
   Result<std::uint64_t> Seek(std::int64_t offset,
                              vfs::SeekOrigin origin) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     return sentinel_->OnSeek(ctx_, offset, origin);
   }
 
-  Result<std::uint64_t> Size() override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
-    return sentinel_->OnGetSize(ctx_);
-  }
-
-  Status SetEndOfFile() override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
-    return sentinel_->OnSetEof(ctx_);
-  }
-
-  Status Flush() override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
-    return sentinel_->OnFlush(ctx_);
-  }
-
-  Result<std::size_t> ReadScatter(
-      std::span<MutableByteSpan> segments) override {
-    std::size_t total = 0;
-    for (auto& segment : segments) {
-      AFS_ASSIGN_OR_RETURN(std::size_t n, Read(segment));
-      total += n;
-      if (n < segment.size()) break;
-    }
-    return total;
-  }
+  Result<std::uint64_t> Size() override { return sentinel_->OnGetSize(ctx_); }
+  Status SetEndOfFile() override { return sentinel_->OnSetEof(ctx_); }
+  Status Flush() override { return sentinel_->OnFlush(ctx_); }
 
   Status LockRange(std::uint64_t offset, std::uint64_t length) override {
-    MutexLock lock(mu_);
     return sentinel_->OnLock(ctx_, offset, length);
   }
   Status UnlockRange(std::uint64_t offset, std::uint64_t length) override {
-    MutexLock lock(mu_);
     return sentinel_->OnUnlock(ctx_, offset, length);
   }
 
   Result<Buffer> Control(ByteSpan request) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     return sentinel_->OnControl(ctx_, request);
   }
 
   Status Close() override {
-    MutexLock lock(mu_);
-    return DoClose();
-  }
-
-  Status Open() {
-    MutexLock lock(mu_);
-    const Status status = sentinel_->OnOpen(ctx_);
-    // Mirror the dispatch loop's lifecycle: a failed OnOpen means no
-    // session — OnClose must not run and nothing is written back.
-    opened_ = status.ok();
-    if (!opened_) closed_ = true;
-    return status;
-  }
-
- private:
-  Status DoClose() AFS_REQUIRES(mu_) {
-    if (closed_) return Status::Ok();
-    closed_ = true;
+    if (!open_) return Status::Ok();
+    open_ = false;
     const Status status = sentinel_->OnClose(ctx_);
     const Status flushed = cache_.Finalize();
     return status.ok() ? flushed : status;
   }
 
-  Mutex mu_;
-  std::unique_ptr<sentinel::Sentinel> sentinel_ AFS_GUARDED_BY(mu_);
-  SentinelContext ctx_ AFS_GUARDED_BY(mu_);
-  CacheAssembly cache_ AFS_GUARDED_BY(mu_);
-  bool opened_ AFS_GUARDED_BY(mu_) = false;
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
+  Status Open() {
+    const Status status = sentinel_->OnOpen(ctx_);
+    // Mirror the dispatch loop's lifecycle: a failed OnOpen means no
+    // session — OnClose must not run and nothing is written back.
+    open_ = status.ok();
+    return status;
+  }
+
+ private:
+  std::unique_ptr<sentinel::Sentinel> sentinel_;
+  SentinelContext ctx_;
+  CacheAssembly cache_;
+  bool open_ = false;  // between a successful OnOpen and OnClose
 };
 
 // ---------------------------------------------------------------------
@@ -568,8 +497,6 @@ class ProcessHandle final : public vfs::FileHandle {
         ring_(std::move(ring)) {}
 
   Result<std::size_t> Read(MutableByteSpan out) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     // Raw byte stream, no control frames: the trace cannot cross into the
     // sentinel here, so this app-side span is the leaf of the trace.
     obs::Span span("link.stream.read");
@@ -606,8 +533,6 @@ class ProcessHandle final : public vfs::FileHandle {
   }
 
   Result<std::size_t> Write(ByteSpan data) override {
-    MutexLock lock(mu_);
-    if (closed_) return ClosedError("handle closed");
     obs::Span span("link.stream.write");
     if (ring_) {
       AFS_RETURN_IF_ERROR(
@@ -627,11 +552,12 @@ class ProcessHandle final : public vfs::FileHandle {
   Result<std::uint64_t> Size() override {
     return UnsupportedError("GetFileSize not supported by process strategy");
   }
+  Result<std::size_t> ReadScatter(std::span<MutableByteSpan>) override {
+    return UnsupportedError(
+        "ReadFileScatter not supported by process strategy");
+  }
 
   Status Close() override {
-    MutexLock lock(mu_);
-    if (closed_) return Status::Ok();
-    closed_ = true;
     if (ring_) ring_->CloseAll();  // ring-mode EOF for the sentinel's pump
     to_sentinel_.Close();    // sentinel's writer loop sees EOF
     from_sentinel_.Close();  // unblocks an eagerly-pushing sentinel (EPIPE)
@@ -646,15 +572,13 @@ class ProcessHandle final : public vfs::FileHandle {
   }
 
  private:
-  Mutex mu_;
-  ipc::PipeEnd to_sentinel_ AFS_GUARDED_BY(mu_);
-  ipc::PipeEnd from_sentinel_ AFS_GUARDED_BY(mu_);
-  std::shared_ptr<ipc::ProcessWatch> child_ AFS_GUARDED_BY(mu_);
+  ipc::PipeEnd to_sentinel_;
+  ipc::PipeEnd from_sentinel_;
+  const std::shared_ptr<ipc::ProcessWatch> child_;
   const Micros read_timeout_;
   // Bulk data plane when non-null (fork mode only; an exec'd stream binary
   // has no handshake to learn about the ring).
-  std::shared_ptr<ipc::ShmRing> ring_ AFS_GUARDED_BY(mu_);
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
+  const std::shared_ptr<ipc::ShmRing> ring_;
 };
 
 // ---------------------------------------------------------------------

@@ -33,17 +33,6 @@ namespace afs::core {
 struct SessionProbe;      // core/supervisor.hpp
 class CacheLeaseChannel;  // core/cache.hpp
 
-// Optional capability of active-file handles: application-specific
-// commands tunneled to the sentinel's OnControl (the control channel's
-// extensibility, paper Section 4.2).  Obtained by dynamic_cast from the
-// vfs::FileHandle, or via ActiveFileManager::Control.  The plain process
-// strategy has no control channel and does not implement it.
-class ActiveHandle {
- public:
-  virtual ~ActiveHandle() = default;
-  virtual Result<Buffer> Control(ByteSpan request) = 0;
-};
-
 enum class Strategy : std::uint8_t {
   kProcess = 1,
   kProcessControl = 2,
@@ -89,7 +78,7 @@ struct OpenRequest {
   sentinel::RemoteResolver* resolver = nullptr;  // may be null
   std::string lock_dir;
 
-  // Supervision extras (set by core/supervisor.cpp, zero by default):
+  // Supervision extras (set by core/active_file.cpp, zero by default):
   // positive → the sentinel side emits idle heartbeats / renews its lease
   // at this cadence.
   Micros heartbeat_interval{0};
@@ -103,14 +92,17 @@ struct OpenRequest {
   // Client-cache lease plumbing (set by the manager when the spec asks for
   // cache=read|write, null otherwise): the link stamps this channel's
   // OutgoingFlags into every control message and feeds every decoded
-  // response back through Observe, so the CachedHandle wrapped around the
-  // stub always sees the sentinel's current grant (docs/CACHING.md).
+  // response back through Observe, so the cache stage of the
+  // ActiveFileHandle above the stub always sees the sentinel's current
+  // grant (docs/CACHING.md).
   std::shared_ptr<CacheLeaseChannel> cache_channel;
 };
 
-// Builds the application-side FileHandle (the "stub") for the given
+// Builds the application-side transport (the "stub") for the given
 // strategy, spawning/injecting the sentinel as a side effect.  On error
-// nothing is left running.  A non-null `probe` is filled with the
+// nothing is left running.  Transports are not thread-safe: the one
+// ActiveFileHandle above (core/active_file.hpp) serializes every call and
+// owns the closed state.  A non-null `probe` is filled with the
 // session's liveness hooks (lease, child watch, force-down) for the
 // supervisor; pass nullptr when the open is unsupervised.
 Result<std::unique_ptr<vfs::FileHandle>> OpenWithStrategy(

@@ -7,10 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/backoff.hpp"
 #include "common/log.hpp"
-#include "core/cache.hpp"
-#include "core/session_journal.hpp"
 #include "obs/metrics.hpp"
 
 namespace afs::core {
@@ -78,8 +75,6 @@ Result<RestartPolicy> RestartPolicy::FromSpec(
   if (degrade_it != config.end()) {
     AFS_ASSIGN_OR_RETURN(policy.degrade, ParseDegradeMode(degrade_it->second));
   }
-  AFS_ASSIGN_OR_RETURN(policy.overload,
-                       OverloadPolicyFromSpec(config, policy.overload));
   return policy;
 }
 
@@ -87,8 +82,7 @@ Result<RestartPolicy> RestartPolicy::FromSpec(
 // Supervisor
 
 // Shared between the monitor thread and the owning handle.  `dead` latches:
-// once the sentinel behind this session is declared gone, only a Rebind
-// (fresh probe after a restart) clears it.
+// a restart attaches a fresh session instead of reviving this one.
 struct Supervisor::Session {
   Mutex mu;
   SessionProbe probe AFS_GUARDED_BY(mu);
@@ -200,15 +194,6 @@ std::shared_ptr<Supervisor::Session> Supervisor::Attach(SessionProbe probe,
   return session;
 }
 
-void Supervisor::Rebind(const std::shared_ptr<Session>& session,
-                        SessionProbe probe) {
-  if (session == nullptr) return;
-  MutexLock lock(session->mu);
-  session->probe = std::move(probe);
-  session->dead = false;
-  if (session->probe.lease) session->probe.lease->Renew();
-}
-
 void Supervisor::Detach(const std::shared_ptr<Session>& session) {
   if (session == nullptr) return;
   {
@@ -221,723 +206,10 @@ void Supervisor::Detach(const std::shared_ptr<Session>& session) {
                   sessions_.end());
 }
 
-bool Supervisor::DeclaredDead(const std::shared_ptr<Session>& session) {
-  if (session == nullptr) return false;
-  MutexLock lock(session->mu);
-  return session->dead;
-}
-
 void Supervisor::MarkDead(const std::shared_ptr<Session>& session) {
   if (session == nullptr) return;
   MutexLock lock(session->mu);
   session->dead = true;
-}
-
-// ---------------------------------------------------------------------
-// Degraded fallback: serves the bundle's data part directly once the
-// sentinel is permanently gone.  Thread-compatible — the owning
-// SupervisedHandle serializes all calls.
-
-namespace {
-
-class DegradedHandle final : public vfs::FileHandle {
- public:
-  // `split_pointers` mirrors stream-strategy semantics (independent read
-  // and write streams, no seek); otherwise one shared file pointer.
-  DegradedHandle(std::unique_ptr<BundleFile> bundle, bool writable,
-                 bool split_pointers, std::uint64_t read_pos,
-                 std::uint64_t write_pos)
-      : bundle_(std::move(bundle)),
-        writable_(writable),
-        split_(split_pointers),
-        read_pos_(read_pos),
-        write_pos_(write_pos) {}
-
-  Result<std::size_t> Read(MutableByteSpan out) override {
-    AFS_ASSIGN_OR_RETURN(std::size_t n, bundle_->ReadDataAt(read_pos_, out));
-    read_pos_ += n;
-    if (!split_) write_pos_ = read_pos_;
-    return n;
-  }
-
-  Result<std::size_t> Write(ByteSpan data) override {
-    if (!writable_) {
-      return PermissionDeniedError("active file degraded to readonly");
-    }
-    AFS_ASSIGN_OR_RETURN(std::size_t n,
-                         bundle_->WriteDataAt(write_pos_, data));
-    write_pos_ += n;
-    if (!split_) read_pos_ = write_pos_;
-    return n;
-  }
-
-  Result<std::uint64_t> Seek(std::int64_t offset,
-                             vfs::SeekOrigin origin) override {
-    if (split_) {
-      return UnsupportedError("seek not supported by process strategy");
-    }
-    std::int64_t base = 0;
-    switch (origin) {
-      case vfs::SeekOrigin::kBegin: base = 0; break;
-      case vfs::SeekOrigin::kCurrent:
-        base = static_cast<std::int64_t>(read_pos_);
-        break;
-      case vfs::SeekOrigin::kEnd: {
-        AFS_ASSIGN_OR_RETURN(std::uint64_t size, bundle_->DataSize());
-        base = static_cast<std::int64_t>(size);
-        break;
-      }
-    }
-    const std::int64_t target = base + offset;
-    if (target < 0) return OutOfRangeError("seek before start of file");
-    read_pos_ = static_cast<std::uint64_t>(target);
-    write_pos_ = read_pos_;
-    return read_pos_;
-  }
-
-  Result<std::uint64_t> Size() override {
-    if (split_) {
-      return UnsupportedError("GetFileSize not supported by process strategy");
-    }
-    return bundle_->DataSize();
-  }
-
-  Status SetEndOfFile() override {
-    if (split_) return UnsupportedError("SetEndOfFile");
-    if (!writable_) {
-      return PermissionDeniedError("active file degraded to readonly");
-    }
-    return bundle_->TruncateData(read_pos_);
-  }
-
-  Status Flush() override { return bundle_->Flush(); }
-
-  Status Close() override {
-    if (bundle_ == nullptr) return Status::Ok();
-    const Status flushed = bundle_->Flush();
-    bundle_.reset();
-    return flushed;
-  }
-
-  BundleFile* bundle() noexcept { return bundle_.get(); }
-
- private:
-  std::unique_ptr<BundleFile> bundle_;
-  const bool writable_;
-  const bool split_;
-  std::uint64_t read_pos_;
-  std::uint64_t write_pos_;
-};
-
-// Journal records are write-ahead best-effort: a lost record degrades crash
-// recovery (replay may resume from a stale cursor) but must never fail the
-// application's I/O.  The drop counter is how a sick journal disk surfaces.
-void JournalDrop(const Status& recorded) {
-  if (recorded.ok()) return;
-  static obs::Counter& drops =
-      obs::Registry::Global().GetCounter("core.supervisor.journal_drops");
-  drops.Add(1);
-}
-
-// ---------------------------------------------------------------------
-// SupervisedHandle: the tentpole.  Wraps a strategy-opened stub and keeps
-// the application's view of the file intact across sentinel crashes.
-
-class SupervisedHandle final : public vfs::FileHandle, public ActiveHandle {
- public:
-  SupervisedHandle(Supervisor& supervisor, SessionJournal& journal,
-                   const sentinel::SentinelRegistry& registry,
-                   Strategy strategy, OpenRequest request,
-                   RestartPolicy policy)
-      : supervisor_(supervisor),
-        journal_(journal),
-        registry_(registry),
-        strategy_(strategy),
-        stream_(strategy == Strategy::kProcess),
-        request_(std::move(request)),
-        policy_(policy),
-        id_(journal.NextId()) {}
-
-  ~SupervisedHandle() override {
-    MutexLock lock(mu_);
-    if (!closed_) {
-      DetachSession();
-      inner_.reset();
-      degraded_.reset();
-      closed_ = true;
-    }
-  }
-
-  // First open; crash-class failures (a sentinel killed before the open
-  // acknowledgement) consume restart budget like any later crash.
-  Status Open() {
-    MutexLock lock(mu_);
-    JournalDrop(journal_.RecordOpen(id_, std::string(StrategyName(strategy_)),
-                              request_.vfs_path));
-    while (true) {
-      Status opened = OpenSessionLocked();
-      if (opened.ok()) return Status::Ok();
-      if (!CrashClass(opened)) return opened;  // legitimate open failure
-      AFS_RETURN_IF_ERROR(NextRestartLocked("open"));
-      if (mode_ == Mode::kDegraded) return Status::Ok();
-    }
-  }
-
-  Result<std::size_t> Read(MutableByteSpan out) override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Read(out);
-    JournalDrop(journal_.RecordOp(id_, "read", LogicalPos(), out.size()));
-    while (true) {
-      Result<std::size_t> got = inner_->Read(out);
-      if (got.ok() && !(stream_ && *got == 0 && StreamEofWasCrash())) {
-        if (stream_) {
-          read_pos_ += *got;
-        } else {
-          position_ += static_cast<std::int64_t>(*got);
-        }
-        JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-        return got;
-      }
-      const Status failure =
-          got.ok() ? ClosedError("sentinel died mid-stream") : got.status();
-      if (!CrashClass(failure)) return failure;
-      AFS_RETURN_IF_ERROR(RecoverLocked("read"));
-      if (mode_ == Mode::kDegraded) return degraded_->Read(out);
-    }
-  }
-
-  Result<std::size_t> Write(ByteSpan data) override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Write(data);
-    JournalDrop(journal_.RecordOp(id_, "write",
-                            stream_ ? static_cast<std::int64_t>(write_pos_)
-                                    : position_,
-                            data.size()));
-    if (stream_) return StreamWrite(data);
-    while (true) {
-      Result<std::size_t> wrote = inner_->Write(data);
-      if (wrote.ok()) {
-        position_ += static_cast<std::int64_t>(*wrote);
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return wrote;
-      }
-      if (!CrashClass(wrote.status())) return wrote;
-      AFS_RETURN_IF_ERROR(RecoverLocked("write"));
-      if (mode_ == Mode::kDegraded) return degraded_->Write(data);
-    }
-  }
-
-  Result<std::uint64_t> Seek(std::int64_t offset,
-                             vfs::SeekOrigin origin) override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Seek(offset, origin);
-    if (stream_) return inner_->Seek(offset, origin);  // kUnsupported
-    JournalDrop(journal_.RecordOp(id_, "seek", offset, 0));
-    while (true) {
-      Result<std::uint64_t> pos = inner_->Seek(offset, origin);
-      if (pos.ok()) {
-        position_ = static_cast<std::int64_t>(*pos);
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return pos;
-      }
-      if (!CrashClass(pos.status())) return pos;
-      AFS_RETURN_IF_ERROR(RecoverLocked("seek"));
-      if (mode_ == Mode::kDegraded) return degraded_->Seek(offset, origin);
-    }
-  }
-
-  Result<std::uint64_t> Size() override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Size();
-    if (stream_) return inner_->Size();  // kUnsupported
-    while (true) {
-      Result<std::uint64_t> size = inner_->Size();
-      if (size.ok() || !CrashClass(size.status())) return size;
-      AFS_RETURN_IF_ERROR(RecoverLocked("size"));
-      if (mode_ == Mode::kDegraded) return degraded_->Size();
-    }
-  }
-
-  Status SetEndOfFile() override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->SetEndOfFile();
-    if (stream_) return inner_->SetEndOfFile();  // kUnsupported
-    JournalDrop(journal_.RecordOp(id_, "seteof", position_, 0));
-    while (true) {
-      Status status = inner_->SetEndOfFile();
-      if (status.ok()) {
-        JournalDrop(journal_.RecordDone(id_, position_));
-        return status;
-      }
-      if (!CrashClass(status)) return status;
-      AFS_RETURN_IF_ERROR(RecoverLocked("seteof"));
-      if (mode_ == Mode::kDegraded) return degraded_->SetEndOfFile();
-    }
-  }
-
-  Status Flush() override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return degraded_->Flush();
-    while (true) {
-      Status status = inner_->Flush();
-      if (status.ok() || !CrashClass(status)) return status;
-      AFS_RETURN_IF_ERROR(RecoverLocked("flush"));
-      if (mode_ == Mode::kDegraded) return degraded_->Flush();
-    }
-  }
-
-  Result<std::size_t> ReadScatter(
-      std::span<MutableByteSpan> segments) override {
-    if (stream_) {
-      return UnsupportedError("ReadFileScatter not supported on this handle");
-    }
-    std::size_t total = 0;
-    for (auto& segment : segments) {
-      AFS_ASSIGN_OR_RETURN(std::size_t n, Read(segment));
-      total += n;
-      if (n < segment.size()) break;
-    }
-    return total;
-  }
-
-  // Locks and application-specific commands are not idempotent, so a crash
-  // mid-operation is NOT retried: the handle recovers (next operations
-  // work) but this call reports the failure.
-  Status LockRange(std::uint64_t offset, std::uint64_t length) override {
-    return NonReplayable("lock", [&](vfs::FileHandle& h) {
-      return h.LockRange(offset, length);
-    });
-  }
-  Status UnlockRange(std::uint64_t offset, std::uint64_t length) override {
-    return NonReplayable("unlock", [&](vfs::FileHandle& h) {
-      return h.UnlockRange(offset, length);
-    });
-  }
-
-  Result<Buffer> Control(ByteSpan request) override {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) {
-      return UnsupportedError("control unavailable on a degraded handle");
-    }
-    auto* active = dynamic_cast<ActiveHandle*>(inner_.get());
-    if (active == nullptr) {
-      return UnsupportedError("strategy has no control channel");
-    }
-    JournalDrop(journal_.RecordOp(id_, "custom", LogicalPos(), request.size()));
-    Result<Buffer> reply = active->Control(request);
-    if (!reply.ok() && CrashClass(reply.status())) {
-      (void)RecoverLocked("custom");  // heal the handle, report the failure
-      return reply.status();
-    }
-    if (reply.ok()) JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-    return reply;
-  }
-
-  Status Close() override {
-    MutexLock lock(mu_);
-    if (closed_) return Status::Ok();
-    Status status = Status::Ok();
-    if (mode_ == Mode::kDegraded) {
-      status = degraded_->Close();
-    } else if (mode_ == Mode::kActive) {
-      JournalDrop(journal_.RecordOp(id_, "close", LogicalPos(), 0));
-      while (true) {
-        status = inner_->Close();
-        // The control strategies tolerate a sentinel that vanishes instead
-        // of acking the close (their Close reports OK); under supervision a
-        // child that died abnormally means OnClose never ran, so that is a
-        // crash regardless of what the inner handle reported.
-        if (status.ok() && ChildDiedAbnormally()) {
-          status = ClosedError("sentinel died during close");
-        }
-        if (status.ok()) {
-          JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-          break;
-        }
-        if (!CloseCrashClass(status)) break;
-        // Crash during close: the sentinel's OnClose side effects are in
-        // doubt.  Restart so they run on a live sentinel; when the budget
-        // runs out, fall back per the degrade mode (a degraded close
-        // flushes the data part, which is all that is left to do).
-        Status recovered = RecoverLocked("close");
-        if (!recovered.ok()) {
-          status = recovered;
-          break;
-        }
-        if (mode_ == Mode::kDegraded) {
-          status = degraded_->Close();
-          break;
-        }
-      }
-    }
-    DetachSession();
-    inner_.reset();
-    degraded_.reset();
-    closed_ = true;
-    JournalDrop(journal_.RecordClose(id_));
-    return status;
-  }
-
- private:
-  enum class Mode : std::uint8_t { kActive, kDegraded, kFailed };
-
-  Status Ready() AFS_REQUIRES(mu_) {
-    if (closed_) return ClosedError("handle closed");
-    if (mode_ == Mode::kFailed) {
-      return ClosedError("active file failed permanently (degrade=fail)");
-    }
-    return Status::Ok();
-  }
-
-  std::int64_t LogicalPos() const AFS_REQUIRES(mu_) {
-    return stream_ ? static_cast<std::int64_t>(read_pos_) : position_;
-  }
-
-  Micros HeartbeatInterval() const {
-    if (policy_.lease.count() <= 0) return Micros{0};
-    // Three beats per lease keeps one lost wakeup from a false positive.
-    const std::int64_t third = policy_.lease.count() / 3;
-    return Micros{third > 1000 ? third : 1000};
-  }
-
-  bool ChildDiedAbnormally() AFS_REQUIRES(mu_) {
-    if (child_ == nullptr) return false;
-    const std::optional<ipc::ExitStatus> ended = child_->Poll();
-    return ended.has_value() && !ended->clean();
-  }
-
-  // A raw-stream EOF is ambiguous: a finished pump closes its output end,
-  // but so does the kernel tearing down a killed sentinel.  The teardown is
-  // not atomic: the EOF routinely becomes visible to the application before
-  // either the child is reapable or the companion pipe reports its reader
-  // gone (measured up to ~8ms apart under load).  So no single instant
-  // probe can classify the EOF; instead, wait for whichever durable signal
-  // settles first:
-  //   - child exits            -> crash iff the exit was abnormal;
-  //   - reader present, and it STAYS present across the teardown window
-  //                            -> genuine end-of-data (a healthy pump holds
-  //                               the app->sentinel read end until close);
-  //   - reader gone but child never reapable within the deadline
-  //                            -> the child is mid-exit: a crash.
-  bool StreamEofWasCrash() AFS_REQUIRES(mu_) {
-    if (child_ == nullptr) return false;
-    constexpr auto kStep = std::chrono::microseconds(500);
-    constexpr int kIters = 200;        // 100ms hard deadline
-    constexpr int kConfirmStreak = 40;  // reader must hold ~20ms to be trusted
-    int alive_streak = 0;
-    bool reader_gone = false;
-    for (int i = 0; i < kIters; ++i) {
-      const std::optional<ipc::ExitStatus> ended = child_->Poll();
-      if (ended.has_value()) return !ended->clean();
-      if (peer_alive_) {
-        if (peer_alive_()) {
-          if (++alive_streak >= kConfirmStreak) return false;
-        } else {
-          alive_streak = 0;
-          reader_gone = true;
-        }
-      }
-      std::this_thread::sleep_for(kStep);
-    }
-    // Deadline passed with the child running.  A live pump would have held
-    // its read end the whole time; if the reader ever vanished, the child
-    // is stuck mid-exit and the EOF was its death, not end-of-data.
-    return reader_gone;
-  }
-
-  // Transport failures that mean "the sentinel is gone", as opposed to
-  // sentinel-side operation errors (which pass through untouched).
-  bool CrashClass(const Status& status) AFS_REQUIRES(mu_) {
-    switch (status.code()) {
-      case ErrorCode::kClosed:
-      case ErrorCode::kTimeout:
-        return true;
-      case ErrorCode::kIoError:
-        return ChildDiedAbnormally();
-      default:
-        return false;
-    }
-  }
-
-  // Close additionally reports an abnormal child exit as kInternal
-  // ("sentinel exited with code N"); that is a crash too.
-  bool CloseCrashClass(const Status& status) AFS_REQUIRES(mu_) {
-    if (CrashClass(status)) return true;
-    return status.code() == ErrorCode::kInternal && ChildDiedAbnormally();
-  }
-
-  template <typename Fn>
-  Status NonReplayable(const char* op, Fn&& attempt) {
-    MutexLock lock(mu_);
-    AFS_RETURN_IF_ERROR(Ready());
-    if (mode_ == Mode::kDegraded) return attempt(*degraded_);
-    JournalDrop(journal_.RecordOp(id_, op, LogicalPos(), 0));
-    Status status = attempt(*inner_);
-    if (!status.ok() && CrashClass(status)) {
-      (void)RecoverLocked(op);
-      return status;
-    }
-    if (status.ok()) JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-    return status;
-  }
-
-  // Stream writes are fire-and-forget, so the crash retry IS the replay:
-  // the restarted pump re-applies the whole logged write sequence from
-  // position zero (positional OnWrite makes that idempotent), and this
-  // write rides along — it must not be sent again afterwards.
-  Result<std::size_t> StreamWrite(ByteSpan data) AFS_REQUIRES(mu_) {
-    AppendWriteLog(data);
-    Result<std::size_t> wrote = inner_->Write(data);
-    if (wrote.ok()) {
-      write_pos_ += *wrote;
-      JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-      return wrote;
-    }
-    if (!CrashClass(wrote.status())) return wrote;
-    AFS_RETURN_IF_ERROR(RecoverLocked("write"));
-    if (mode_ == Mode::kDegraded) return degraded_->Write(data);
-    // Recovery replayed the log (this write included).
-    write_pos_ += data.size();
-    JournalDrop(journal_.RecordDone(id_, LogicalPos()));
-    return data.size();
-  }
-
-  void AppendWriteLog(ByteSpan data) AFS_REQUIRES(mu_) {
-    if (write_log_bytes_ + data.size() > kWriteLogCap) {
-      if (!write_log_overflow_) {
-        write_log_overflow_ = true;
-        AFS_LOG(kWarn, "afs.supervisor")
-            << request_.vfs_path << ": write log exceeded "
-            << kWriteLogCap << " bytes; a crash now degrades instead of "
-            << "restarting";
-      }
-      return;
-    }
-    write_log_.emplace_back(data.begin(), data.end());
-    write_log_bytes_ += data.size();
-  }
-
-  // Spawns one session (sentinel + probe) and registers it with the
-  // monitor.  On success the handle is active.
-  Status OpenSessionLocked() AFS_REQUIRES(mu_) {
-    OpenRequest request = request_;
-    request.heartbeat_interval = HeartbeatInterval();
-    if (stream_) {
-      request.resume_read_pos = read_pos_;
-      request.resume_write_pos = 0;  // the write log replays from zero
-    }
-    SessionProbe probe;
-    Result<std::unique_ptr<vfs::FileHandle>> opened =
-        OpenWithStrategy(strategy_, registry_, request, &probe);
-    AFS_RETURN_IF_ERROR(opened.status());
-    if (request_.cache_channel != nullptr) {
-      probe.cache_revoke = [channel = request_.cache_channel] {
-        channel->Revoke();
-      };
-    }
-    DetachSession();  // drop any previous incarnation before installing
-    child_ = probe.child;
-    peer_alive_ = probe.peer_alive;
-    inner_ = std::move(*opened);
-    session_ = supervisor_.Attach(std::move(probe), policy_.lease);
-    return Status::Ok();
-  }
-
-  // Replays the session record onto a fresh sentinel: file pointer for
-  // command strategies, the write log for the stream strategy.
-  Status ReplayLocked() AFS_REQUIRES(mu_) {
-    static obs::Counter& replays =
-        obs::Registry::Global().GetCounter("core.supervisor.session_replays");
-    replays.Add(1);
-    if (stream_) {
-      for (const Buffer& logged : write_log_) {
-        AFS_ASSIGN_OR_RETURN(std::size_t n, inner_->Write(ByteSpan(logged)));
-        if (n != logged.size()) {
-          return IoError("short write during session replay");
-        }
-      }
-      return Status::Ok();
-    }
-    if (position_ == 0) return Status::Ok();
-    AFS_ASSIGN_OR_RETURN(std::uint64_t pos,
-                         inner_->Seek(position_, vfs::SeekOrigin::kBegin));
-    if (static_cast<std::int64_t>(pos) != position_) {
-      return IoError("seek replay landed at the wrong position");
-    }
-    return Status::Ok();
-  }
-
-  // Consumes one unit of restart budget (with backoff) or degrades.
-  // Returns OK when the caller may retry (restarted or degraded); an error
-  // when the handle is permanently failed.
-  Status NextRestartLocked(const char* why) AFS_REQUIRES(mu_) {
-    DetachSession();
-    inner_.reset();
-    if (restarts_ >= policy_.max_restarts ||
-        (stream_ && write_log_overflow_)) {
-      return DegradeLocked(why);
-    }
-    ++restarts_;
-    static obs::Counter& restarts =
-        obs::Registry::Global().GetCounter("core.supervisor.restarts");
-    restarts.Add(1);
-    JournalDrop(journal_.RecordRestart(id_, restarts_));
-    // Doubling delay, recomputed from the attempt number so the budget is
-    // global to the handle rather than per-operation.
-    Micros delay = policy_.backoff_initial;
-    for (int i = 1; i < restarts_ && delay < policy_.backoff_cap; ++i) {
-      delay = delay * 2 > policy_.backoff_cap ? policy_.backoff_cap
-                                              : delay * 2;
-    }
-    Backoff backoff(1, delay, policy_.backoff_cap);
-    (void)backoff.Next(SteadyClock::Instance());
-    AFS_LOG(kWarn, "afs.supervisor")
-        << request_.vfs_path << ": restarting sentinel after crash during "
-        << why << " (attempt " << restarts_ << "/" << policy_.max_restarts
-        << ")";
-    return Status::Ok();
-  }
-
-  // Full crash recovery: tear down, restart with backoff, re-attach,
-  // replay.  OK = retry the interrupted operation (active again or
-  // degraded); error = permanently failed.
-  Status RecoverLocked(const char* why) AFS_REQUIRES(mu_) {
-    Supervisor::MarkDead(session_);
-    if (request_.cache_channel != nullptr) {
-      // Recovery entered from the op path can beat the monitor's sweep;
-      // void the client cache's lease before a restarted sentinel (whose
-      // epoch numbering starts over) answers anything.
-      request_.cache_channel->Revoke();
-    }
-    while (true) {
-      AFS_RETURN_IF_ERROR(NextRestartLocked(why));
-      if (mode_ == Mode::kDegraded) return Status::Ok();
-      Status opened = OpenSessionLocked();
-      if (!opened.ok()) continue;  // crashed again before the open-ack
-      Status replayed = ReplayLocked();
-      if (!replayed.ok()) {
-        AFS_LOG(kWarn, "afs.supervisor")
-            << request_.vfs_path << ": session replay failed ("
-            << replayed.ToString() << "); retrying";
-        continue;
-      }
-      return Status::Ok();
-    }
-  }
-
-  // Restart budget exhausted (or restart impossible): fall back to the
-  // bundle's data part per the declared degrade mode.
-  Status DegradeLocked(const char* why) AFS_REQUIRES(mu_) {
-    DetachSession();
-    inner_.reset();
-    static obs::Counter& degrades =
-        obs::Registry::Global().GetCounter("core.supervisor.degrades");
-    degrades.Add(1);
-    JournalDrop(journal_.RecordDegrade(
-        id_, std::string(DegradeModeName(policy_.degrade))));
-    if (policy_.degrade == DegradeMode::kFail) {
-      mode_ = Mode::kFailed;
-      AFS_LOG(kError, "afs.supervisor")
-          << request_.vfs_path << ": sentinel permanently failed during "
-          << why << " after " << restarts_ << " restart(s)";
-      return ClosedError("sentinel permanently failed (crash during " +
-                         std::string(why) + ")");
-    }
-    Result<std::unique_ptr<BundleFile>> bundle =
-        BundleFile::Open(request_.host_path);
-    if (!bundle.ok()) {
-      mode_ = Mode::kFailed;
-      return ClosedError("cannot degrade: " + bundle.status().ToString());
-    }
-    const bool writable = policy_.degrade == DegradeMode::kPassthrough;
-    auto fallback = std::make_unique<DegradedHandle>(
-        std::move(*bundle), writable, stream_,
-        stream_ ? read_pos_ : static_cast<std::uint64_t>(position_),
-        stream_ ? write_pos_ : static_cast<std::uint64_t>(position_));
-    if (stream_ && writable && !write_log_overflow_) {
-      // Make the data part byte-exact: unacknowledged stream writes may or
-      // may not have been applied by the dead sentinel, so re-apply the
-      // whole log positionally.
-      std::uint64_t offset = 0;
-      for (const Buffer& logged : write_log_) {
-        Result<std::size_t> n =
-            fallback->bundle()->WriteDataAt(offset, ByteSpan(logged));
-        if (!n.ok()) {
-          mode_ = Mode::kFailed;
-          return ClosedError("cannot degrade: " + n.status().ToString());
-        }
-        offset += *n;
-      }
-    }
-    degraded_ = std::move(fallback);
-    mode_ = Mode::kDegraded;
-    AFS_LOG(kWarn, "afs.supervisor")
-        << request_.vfs_path << ": degraded to "
-        << DegradeModeName(policy_.degrade) << " after crash during " << why;
-    return Status::Ok();
-  }
-
-  void DetachSession() AFS_REQUIRES(mu_) {
-    if (session_ != nullptr) {
-      supervisor_.Detach(session_);
-      session_.reset();
-    }
-    child_.reset();
-    // Must drop before inner_ does: the closure probes a descriptor the
-    // inner handle owns.
-    peer_alive_ = nullptr;
-  }
-
-  Supervisor& supervisor_;
-  SessionJournal& journal_;
-  const sentinel::SentinelRegistry& registry_;
-  const Strategy strategy_;
-  const bool stream_;
-  const OpenRequest request_;
-  const RestartPolicy policy_;
-  const std::uint64_t id_;
-
-  Mutex mu_;
-  std::unique_ptr<vfs::FileHandle> inner_ AFS_GUARDED_BY(mu_);
-  std::unique_ptr<DegradedHandle> degraded_ AFS_GUARDED_BY(mu_);
-  std::shared_ptr<Supervisor::Session> session_ AFS_GUARDED_BY(mu_);
-  std::shared_ptr<ipc::ProcessWatch> child_ AFS_GUARDED_BY(mu_);
-  std::function<bool()> peer_alive_ AFS_GUARDED_BY(mu_);
-  Mode mode_ AFS_GUARDED_BY(mu_) = Mode::kActive;
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
-  int restarts_ AFS_GUARDED_BY(mu_) = 0;
-
-  // Replayable session state (mirrored write-ahead in the journal).
-  std::int64_t position_ AFS_GUARDED_BY(mu_) = 0;   // command strategies
-  std::uint64_t read_pos_ AFS_GUARDED_BY(mu_) = 0;  // stream strategy
-  std::uint64_t write_pos_ AFS_GUARDED_BY(mu_) = 0;
-  std::vector<Buffer> write_log_ AFS_GUARDED_BY(mu_);
-  std::size_t write_log_bytes_ AFS_GUARDED_BY(mu_) = 0;
-  bool write_log_overflow_ AFS_GUARDED_BY(mu_) = false;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
-    Supervisor& supervisor, SessionJournal& journal,
-    const sentinel::SentinelRegistry& registry, Strategy strategy,
-    const OpenRequest& request, const RestartPolicy& policy) {
-  if (strategy == Strategy::kDirect) {
-    return UnsupportedError(
-        "direct strategy runs the sentinel in the caller's frame and "
-        "cannot be supervised");
-  }
-  auto handle = std::make_unique<SupervisedHandle>(
-      supervisor, journal, registry, strategy, request, policy);
-  AFS_RETURN_IF_ERROR(handle->Open());
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
 }
 
 }  // namespace afs::core

@@ -16,13 +16,13 @@
 //     any application operation blocked on it wakes immediately with a
 //     transport error instead of hanging.
 //
-//   OpenSupervised — wraps a strategy-opened handle in a stub that owns a
-//     replayable session record (SessionJournal): on a crash it restarts
-//     the sentinel with bounded backoff (RestartPolicy), re-attaches by
-//     replaying the file-pointer position, retries the interrupted
-//     idempotent operation exactly once, and — when restarts are exhausted
-//     — degrades per the bundle's declared mode (passthrough/readonly)
-//     instead of poisoning the handle.
+//   RestartPolicy — the bundle's supervision settings.  The supervision
+//     stage of core::ActiveFileHandle (core/active_file.hpp) consumes it:
+//     on a crash it restarts the sentinel with bounded backoff, re-attaches
+//     at the application's file position, retries the interrupted
+//     idempotent operation, and — when restarts are exhausted — degrades
+//     per the bundle's declared mode (passthrough/readonly) instead of
+//     poisoning the handle.
 #pragma once
 
 #include <atomic>
@@ -31,21 +31,15 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
 #include "common/status.hpp"
 #include "core/event_loop.hpp"
-#include "core/overload.hpp"
-#include "core/strategies.hpp"
 #include "ipc/process.hpp"
-#include "vfs/file_handle.hpp"
 
 namespace afs::core {
-
-class SessionJournal;
 
 // A monotonically renewed liveness stamp shared between the sentinel side
 // (which renews) and the supervisor (which measures age).  Lock-free: the
@@ -99,11 +93,6 @@ struct RestartPolicy {
   Micros backoff_cap{100'000};
   Micros lease{0};
   DegradeMode degrade = DegradeMode::kFail;
-  // The `overload=` spec key (docs/OVERLOAD.md): supervisor-visible so
-  // operators can audit how a supervised session behaves at saturation.
-  // The strategies consume the same key when building the link; a shed
-  // (kOverloaded) op is an ordinary op error and never burns a restart.
-  OverloadPolicy overload = OverloadPolicy::kShed;
 
   static Result<RestartPolicy> FromSpec(
       const std::map<std::string, std::string>& config);
@@ -129,8 +118,8 @@ struct SessionProbe {
 
   // Voids the client-side cache lease the moment this session is declared
   // dead (docs/CACHING.md): a lease expiring during a supervised restart
-  // must re-validate, never serve stale blocks.  Set by OpenSupervised
-  // when the open carries a cache channel; null otherwise.
+  // must re-validate, never serve stale blocks.  Set by the supervision
+  // stage when the open carries a cache channel; null otherwise.
   std::function<void()> cache_revoke;
 
   // Stream strategy only: true while the sentinel still holds the read end
@@ -160,15 +149,8 @@ class Supervisor {
   // it (child-exit detection still applies when the probe has a child).
   std::shared_ptr<Session> Attach(SessionProbe probe, Micros lease);
 
-  // Replaces the probe after a restart (new child / new rendezvous).
-  void Rebind(const std::shared_ptr<Session>& session, SessionProbe probe);
-
   // Unregisters; the session's probe is dropped.
   void Detach(const std::shared_ptr<Session>& session);
-
-  // True when the monitor (or a failed operation) declared the sentinel
-  // behind `session` dead and it has not been rebound since.
-  static bool DeclaredDead(const std::shared_ptr<Session>& session);
 
   // Marks a session dead from the op path (transport failure observed).
   static void MarkDead(const std::shared_ptr<Session>& session);
@@ -186,16 +168,5 @@ class Supervisor {
   // afs-lint: allow(guarded-member: EventLoop is internally synchronized)
   EventLoop loop_;
 };
-
-// Opens `request` under supervision: the returned handle transparently
-// restarts its sentinel per `policy` and replays position/state so the
-// application never observes the crash (or degrades per the declared
-// mode).  `journal` records the replayable session state write-ahead.
-// Direct-strategy opens are not supervisable (the sentinel runs in the
-// caller's frame) and are rejected with kUnsupported.
-Result<std::unique_ptr<vfs::FileHandle>> OpenSupervised(
-    Supervisor& supervisor, SessionJournal& journal,
-    const sentinel::SentinelRegistry& registry, Strategy strategy,
-    const OpenRequest& request, const RestartPolicy& policy);
 
 }  // namespace afs::core

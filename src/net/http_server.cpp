@@ -162,10 +162,13 @@ void HttpServer::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // Wake the accept loop, and only close the listener once it has exited:
+  // a descriptor closed under a running accept() could be reused before
+  // the loop sees the shutdown.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     MutexLock lock(conn_mu_);

@@ -73,7 +73,7 @@ class HttpServer {
   const std::string path_;
   FileServer& store_;
   const Options options_;
-  // afs-lint: allow(guarded-member: written by Start/Stop on the owner thread)
+  // afs-lint: allow(guarded-member: written by Start/Stop only while no accept thread runs)
   int listen_fd_ = -1;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};

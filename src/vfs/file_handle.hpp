@@ -38,12 +38,19 @@ class FileHandle {
 
   virtual Status Flush() { return Status::Ok(); }
 
-  // Vectored read (Win32 ReadFileScatter).  The plain process strategy
-  // cannot forward this (paper Section 4.1) and keeps this default.
+  // Vectored read (Win32 ReadFileScatter).  Defaults to sequential reads
+  // at the file pointer; command-strategy handles override it with a
+  // single-crossing scatter, and the plain process strategy, which cannot
+  // forward it (paper Section 4.1), with kUnsupported.
   virtual Result<std::size_t> ReadScatter(
       std::span<MutableByteSpan> segments) {
-    (void)segments;
-    return UnsupportedError("ReadFileScatter not supported on this handle");
+    std::size_t total = 0;
+    for (MutableByteSpan segment : segments) {
+      AFS_ASSIGN_OR_RETURN(std::size_t n, Read(segment));
+      total += n;
+      if (n < segment.size()) break;
+    }
+    return total;
   }
 
   // Vectored write (Win32 WriteFileGather).  Defaults to sequential
@@ -69,6 +76,13 @@ class FileHandle {
     (void)offset;
     (void)length;
     return UnsupportedError("UnlockRange");
+  }
+
+  // Application-specific command to whatever serves this handle (Win32
+  // DeviceIoControl).  Only active files with a control channel answer.
+  virtual Result<Buffer> Control(ByteSpan request) {
+    (void)request;
+    return UnsupportedError("handle has no control channel");
   }
 
   // Releases underlying resources.  Called exactly once by FileApi.

@@ -316,5 +316,85 @@ TEST_F(VectoredProcessControlTest, ScatterAndGatherTakeOneCrossingOffTheRing) {
   ASSERT_OK(api_.CloseHandle(*handle));
 }
 
+// ---- vectored ops through every handle stage -----------------------------
+
+// One thread-strategy handle per combination of the optional stages (the
+// client cache and supervision).  However the handle is assembled, a
+// scatter or gather the cache does not serve is one crossing, exactly as
+// on the bare link.
+struct StageVariant {
+  const char* name;
+  const char* cache;
+  bool supervise;
+};
+
+void PrintTo(const StageVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+class VectoredStagesTest
+    : public PlainProcessTest,
+      public ::testing::WithParamInterface<StageVariant> {};
+
+TEST_P(VectoredStagesTest, ScatterAndGatherTakeOneCrossing) {
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = "thread";
+  spec.config["cache"] = GetParam().cache;
+  if (GetParam().supervise) spec.config["supervise"] = "1";
+  ASSERT_OK(manager_.CreateActiveFile("s.af", spec));
+  auto handle = api_.OpenFile("s.af", vfs::OpenMode::kReadWrite);
+  ASSERT_OK(handle.status());
+  obs::Counter& roundtrips =
+      obs::Registry::Global().GetCounter("core.link.roundtrips");
+
+  const std::string parts[] = {"ab", "cd", "ef", "gh"};
+  std::vector<ByteSpan> gather;
+  for (const std::string& part : parts) gather.push_back(AsBytes(part));
+  const std::uint64_t before_write = roundtrips.Value();
+  auto wrote = api_.WriteFileGather(*handle, gather);
+  ASSERT_OK(wrote.status());
+  EXPECT_EQ(*wrote, 8u);
+  EXPECT_LE(roundtrips.Value() - before_write, 1u);
+
+  ASSERT_OK(api_.SetFilePointer(*handle, 0, vfs::SeekOrigin::kBegin).status());
+  Buffer first(4), second(4);
+  std::vector<MutableByteSpan> scatter = {MutableByteSpan(first),
+                                          MutableByteSpan(second)};
+  const std::uint64_t before_read = roundtrips.Value();
+  auto got = api_.ReadFileScatter(*handle, scatter);
+  ASSERT_OK(got.status());
+  EXPECT_EQ(*got, 8u);
+  EXPECT_LE(roundtrips.Value() - before_read, 1u);
+  EXPECT_EQ(ToString(ByteSpan(first)), "abcd");
+  EXPECT_EQ(ToString(ByteSpan(second)), "efgh");
+  ASSERT_OK(api_.CloseHandle(*handle));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stages, VectoredStagesTest,
+    ::testing::Values(StageVariant{"plain", "disk", false},
+                      StageVariant{"cached", "read", false},
+                      StageVariant{"supervised", "disk", true},
+                      StageVariant{"cached_supervised", "read", true}),
+    [](const ::testing::TestParamInfo<StageVariant>& info) {
+      return std::string(info.param.name);
+    });
+
+// Paper §4.1: without a control channel a scatter cannot travel.
+TEST_F(PlainProcessTest, ScatterIsUnsupported) {
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = "process";
+  ASSERT_OK(manager_.CreateActiveFile("p.af", spec, AsBytes("data")));
+  auto handle = api_.OpenFile("p.af", vfs::OpenMode::kRead);
+  ASSERT_OK(handle.status());
+  Buffer out(4);
+  std::vector<MutableByteSpan> scatter = {MutableByteSpan(out)};
+  EXPECT_EQ(api_.ReadFileScatter(*handle, scatter).status().code(),
+            ErrorCode::kUnsupported);
+  ASSERT_OK(api_.CloseHandle(*handle));
+}
+
 }  // namespace
 }  // namespace afs

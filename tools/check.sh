@@ -23,7 +23,8 @@
 #                             # registry/doc cross-checks, guarded members;
 #                             # fails on findings not in the baseline
 #   tools/check.sh bench-smoke  # short Figure-6 + event-loop benchmark
-#                             # pass, results combined into BENCH_PR10.json;
+#                             # pass, results combined into the untracked
+#                             # build/bench-smoke.json;
 #                             # fails if the obs <5% overhead gate, the
 #                             # 10k-handle saturation gate, the shm-vs-
 #                             # pipe >=2x throughput gate, the overload
@@ -207,7 +208,9 @@ run_soak() {
 run_bench_smoke() {
   # Short pass over the paper's Figure-6 benchmarks plus the event-loop
   # lane (open/close churn, the 10k-handle saturation sweep), the obs
-  # overhead gate, and the overload column, combined into BENCH_PR10.json.
+  # overhead gate, and the overload column, combined into the untracked
+  # build/bench-smoke.json (committed BENCH_PR*.json files are the history
+  # it is compared against, never overwritten here).
   # Smoke numbers, not publishable ones: --benchmark_min_time is
   # deliberately tiny.  Five gates exit nonzero on regression: obs <5%,
   # saturation >= 10k handles, the shm data plane carrying >=2x the pipe
@@ -216,7 +219,7 @@ run_bench_smoke() {
   # hints, admitted p99 within gate, queue bytes drain; docs/OVERLOAD.md),
   # and the client cache serving hits within 1.5x of a passive ReadFile
   # (docs/CACHING.md).
-  local out=BENCH_PR10.json bench
+  local out=build/bench-smoke.json bench
   echo "== bench-smoke: building benchmarks"
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target \
