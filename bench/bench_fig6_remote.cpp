@@ -7,6 +7,11 @@
 //   DLL      — DLL-only strategy (direct dispatch)
 //   Baseline — the application calling the remote service directly,
 //              which the paper reports as indistinguishable from DLL.
+//   BaselineNoDelay — Baseline against the same file service with no
+//              modelled delay: the bare RPC round trip.  bench-smoke
+//              fails if Baseline 8 B exceeds its service_delay_us counter
+//              plus 3x this, the floor self-check a rounded timer would
+//              trip.
 // Block sizes 8..2048 bytes, µs/op; the remote service time dominates and
 // the strategy overhead is the additive gap between series.
 //
@@ -141,11 +146,24 @@ void BM_Write(benchmark::State& state, core::Strategy strategy) {
   (void)env.api().CloseHandle(handle);
 }
 
-// Baseline: the application speaks to the file service itself.
-void BM_BaselineRead(benchmark::State& state) {
-  BenchEnv& env = Env();
+// The same file service with no modelled delay, on a socket of its own.
+const std::string& NoDelaySocket() {
+  static const std::string path = Env().remote_url().substr(5) + ".nodelay";
+  static net::SocketServer server(path, Env().files());
+  static const bool started = server.Start().ok();
+  if (!started) std::abort();
+  return path;
+}
+
+// Baseline: the application speaks to the file service itself.  The
+// service's modelled delay rides along as a counter, so the bench-smoke
+// floor gate reads it instead of restating it.
+void BM_BaselineRead(benchmark::State& state, const std::string& socket,
+                     Micros service_delay) {
   const std::size_t block = static_cast<std::size_t>(state.range(0));
-  net::SocketClient client(env.remote_url().substr(5));
+  state.counters["service_delay_us"] =
+      static_cast<double>(service_delay.count());
+  net::SocketClient client(socket);
   net::FileClient files(client);
   std::uint64_t pos = 0;
   for (auto _ : state) {
@@ -208,7 +226,19 @@ void RegisterAll() {
     }
   }
   for (int block : kBlockSizes) {
-    benchmark::RegisterBenchmark("Fig6a/Read/Baseline", BM_BaselineRead)
+    benchmark::RegisterBenchmark(
+        "Fig6a/Read/Baseline",
+        [](benchmark::State& st) {
+          BM_BaselineRead(st, Env().remote_url().substr(5), kServiceDelay);
+        })
+        ->Arg(block)
+        ->Iterations(kCallsPerConfig)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark(
+        "Fig6a/Read/BaselineNoDelay",
+        [](benchmark::State& st) {
+          BM_BaselineRead(st, NoDelaySocket(), Micros{0});
+        })
         ->Arg(block)
         ->Iterations(kCallsPerConfig)
         ->Unit(benchmark::kMicrosecond);

@@ -6,6 +6,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
@@ -13,6 +14,11 @@
 namespace afs::core {
 
 namespace {
+
+// epoll_wait's timeout while nothing is posted and no timer is due.  Every
+// real wakeup comes from the doorbell, the timerfd or a registered fd; the
+// heartbeat only bounds how long a lost wakeup could go unnoticed.
+constexpr int kIdleHeartbeatMs = 1000;
 
 // Loop instrumentation, aggregated across shards (docs/OBSERVABILITY.md).
 struct LoopMetrics {
@@ -51,27 +57,30 @@ EventLoop::~EventLoop() { Stop(); }
 
 Status EventLoop::Start() {
   if (running_.load()) return Status::Ok();
+  // One fd per step, so a failure names its step and unwinds the rest.
+  const auto fail = [this](const char* what) {
+    const Status status =
+        IoError(std::string(what) + ": " + std::strerror(errno));
+    CloseFds();
+    return status;
+  };
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    return IoError(std::string("epoll_create1: ") + std::strerror(errno));
-  }
+  if (epoll_fd_ < 0) return fail("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) {
-    const int err = errno;
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    return IoError(std::string("eventfd: ") + std::strerror(err));
+  if (wake_fd_ < 0) return fail("eventfd");
+  // steady_clock is CLOCK_MONOTONIC on Linux, so Timer::due arms this
+  // timerfd as an absolute deadline without conversion.
+  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
+  if (timer_fd_ < 0) return fail("timerfd_create");
+  for (const int fd : {wake_fd_, timer_fd_}) {
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      return fail("epoll_ctl add loop fd");
+    }
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    const int err = errno;
-    ::close(wake_fd_);
-    ::close(epoll_fd_);
-    wake_fd_ = epoll_fd_ = -1;
-    return IoError(std::string("epoll_ctl add wakeup: ") + std::strerror(err));
-  }
+  armed_ = TimePoint::max();
   {
     MutexLock lock(mu_);
     stop_ = false;
@@ -79,6 +88,13 @@ Status EventLoop::Start() {
   running_.store(true);
   thread_ = std::thread([this] { Run(); });
   return Status::Ok();
+}
+
+void EventLoop::CloseFds() noexcept {
+  for (int* fd : {&timer_fd_, &wake_fd_, &epoll_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 void EventLoop::Stop() {
@@ -104,9 +120,7 @@ void EventLoop::Stop() {
   LoopMetrics::Global().queue_depth.Add(
       -static_cast<std::int64_t>(leftover.size()));
   for (auto& task : leftover) task();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  wake_fd_ = epoll_fd_ = -1;
+  CloseFds();
 }
 
 void EventLoop::Ring() {
@@ -166,7 +180,9 @@ std::uint64_t EventLoop::AddTimer(Micros delay, std::function<void()> fn) {
     id = next_timer_id_++;
     timers_.push_back(Timer{due, id, std::move(fn)});
   }
-  Ring();  // the new deadline may be nearer than the current epoll timeout
+  // The new deadline may be nearer than the armed one.  The loop thread
+  // re-arms before its next wait anyway; anyone else must wake it.
+  if (!OnLoopThread()) Ring();
   return id;
 }
 
@@ -214,18 +230,26 @@ void EventLoop::UnregisterFd(int fd) {
   fds_.erase(fd);
 }
 
-int EventLoop::NextTimeoutMsLocked() {
-  if (!queue_.empty()) return 0;  // posted work pending: poll, don't park
-  if (timers_.empty()) return 1000;  // idle heartbeat; the doorbell wakes us
-  auto soonest = timers_.front().due;
+EventLoop::TimePoint EventLoop::SoonestDueLocked() const {
+  TimePoint soonest = TimePoint::max();
   for (const Timer& t : timers_) soonest = std::min(soonest, t.due);
-  const auto now = std::chrono::steady_clock::now();
-  if (soonest <= now) return 0;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      soonest - now)
-                      .count() +
-                  1;
-  return static_cast<int>(std::min<long long>(ms, 1000));
+  return soonest;
+}
+
+void EventLoop::ArmTimerFd(TimePoint due) {
+  itimerspec spec{};  // all zero disarms
+  if (due != TimePoint::max()) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        due.time_since_epoch())
+                        .count();
+    spec.it_value.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+    spec.it_value.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+  }
+  // If the arm fails, record max() so the next pass retries it instead of
+  // trusting a deadline the kernel never took.
+  armed_ = ::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &spec, nullptr) == 0
+               ? due
+               : TimePoint::max();
 }
 
 void EventLoop::FireDueTimers() {
@@ -272,21 +296,31 @@ void EventLoop::Run() {
   epoll_event events[kMaxEvents];
   LoopMetrics& metrics = LoopMetrics::Global();
   while (true) {
-    int timeout_ms;
+    bool ready_now;
+    TimePoint soonest;
     {
       MutexLock lock(mu_);
       if (stop_) return;
-      timeout_ms = NextTimeoutMsLocked();
+      soonest = SoonestDueLocked();
+      ready_now = !queue_.empty() ||
+                  (soonest != TimePoint::max() &&
+                   soonest <= std::chrono::steady_clock::now());
     }
+    // Posted work or a due timer: poll, don't park.  Otherwise the timerfd
+    // wakes us at the soonest deadline; it is re-armed only on a change.
+    if (!ready_now && soonest != armed_) ArmTimerFd(soonest);
+    const int timeout_ms = ready_now ? 0 : kIdleHeartbeatMs;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0 && errno != EINTR) return;  // epoll fd gone: shutting down
     metrics.wakeups.Add(1);
     for (int i = 0; i < std::max(n, 0); ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
+      if (fd == wake_fd_ || fd == timer_fd_) {
+        // Drain the doorbell counter or the timer's expiration count;
+        // FireDueTimers and DrainPosted below run whatever is due.
         std::uint64_t count = 0;
-        // afs-lint: allow(nonblocking: EFD_NONBLOCK drain of the doorbell counter)
-        while (::read(wake_fd_, &count, sizeof(count)) < 0 && errno == EINTR) {
+        // afs-lint: allow(nonblocking: EFD_NONBLOCK/TFD_NONBLOCK drain of an 8-byte counter)
+        while (::read(fd, &count, sizeof(count)) < 0 && errno == EINTR) {
         }
         continue;
       }

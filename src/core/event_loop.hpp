@@ -2,18 +2,22 @@
 // per shard, each multiplexing many sentinel sessions on a single thread.
 //
 // One EventLoop owns one epoll instance, one eventfd doorbell, a run queue
-// of posted tasks, and a timer wheel.  Producers (application threads
-// posting commands, the supervisor arming lease ticks) never block: Post()
-// is a short lock plus an 8-byte eventfd write.  The loop thread drains up
-// to `batch_limit` posted tasks per wakeup — the frame-batching knob that
-// amortizes one epoll_wait over many ready requests — then fires due
-// timers and dispatches fd readiness callbacks.
+// of posted tasks, and a timer list whose soonest deadline arms one
+// CLOCK_MONOTONIC timerfd in the same epoll set, so timers fire at their
+// deadline with ns precision (docs/EVENT_LOOP.md, "Timers").
+// Producers (application threads posting commands, the supervisor arming
+// lease ticks) never block: Post() is a short lock plus an 8-byte eventfd
+// write.  The loop thread drains up to `batch_limit` posted tasks per
+// wakeup — the frame-batching knob that amortizes one epoll_wait over many
+// ready requests — then fires due timers and dispatches fd readiness
+// callbacks.
 //
 // EventLoopPool deals sessions across shards round-robin (or by explicit
 // pin, see the "loop_shard" spec key in docs/EVENT_LOOP.md).  Loop-hosted
 // sessions carry no per-session descriptors at all: the per-shard doorbell
-// is the only fd the data plane costs, which is what lets one process hold
-// 100k concurrent open handles under an ordinary RLIMIT_NOFILE.
+// and timerfd are the only fds the data plane costs, which is what lets one
+// process hold 100k concurrent open handles under an ordinary
+// RLIMIT_NOFILE.
 #pragma once
 
 #include <atomic>
@@ -50,7 +54,8 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  // Creates the epoll/eventfd pair and spawns the loop thread.  Idempotent.
+  // Creates the epoll instance, the eventfd doorbell and the timerfd, and
+  // spawns the loop thread.  Idempotent.
   Status Start();
 
   // Stops the loop and joins its thread.  Tasks already posted still run
@@ -73,8 +78,11 @@ class EventLoop {
   std::size_t queue_depth() const AFS_NONBLOCKING;
 
   // Arms a one-shot timer `delay` from now; returns an id for CancelTimer.
-  // Repeating cadences re-arm from inside their callback, which keeps a
-  // wedged callback from stacking overlapping firings.
+  // It never fires before its deadline.  Repeating cadences re-arm from
+  // inside their callback, which keeps a wedged callback from stacking
+  // overlapping firings.  Off the loop thread this rings the doorbell so
+  // the loop re-arms its timerfd; on it (a timer callback, an fd callback,
+  // a posted task) it does not, because Run() re-arms before every wait.
   std::uint64_t AddTimer(Micros delay, std::function<void()> fn)
       AFS_NONBLOCKING;
   void CancelTimer(std::uint64_t id);
@@ -95,15 +103,19 @@ class EventLoop {
   bool running() const noexcept { return running_.load(); }
 
  private:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   struct Timer {
-    std::chrono::steady_clock::time_point due;
+    TimePoint due;
     std::uint64_t id;
     std::function<void()> fn;
   };
 
   void Run();
   void Ring() AFS_NONBLOCKING;
-  int NextTimeoutMsLocked() AFS_REQUIRES(mu_);
+  TimePoint SoonestDueLocked() const AFS_REQUIRES(mu_);
+  void ArmTimerFd(TimePoint due);
+  void CloseFds() noexcept;
   void FireDueTimers();
   std::size_t DrainPosted();
 
@@ -122,6 +134,11 @@ class EventLoop {
   int epoll_fd_ = -1;
   // afs-lint: allow(guarded-member: created by Start before the thread runs; closed after join)
   int wake_fd_ = -1;
+  // afs-lint: allow(guarded-member: created by Start before the thread runs; closed after join)
+  int timer_fd_ = -1;
+  // The deadline timer_fd_ is armed to (max() = disarmed).
+  // afs-lint: allow(guarded-member: loop thread only; reset by Start before the thread runs)
+  TimePoint armed_ = TimePoint::max();
   std::atomic<bool> running_{false};
   std::atomic<std::thread::id> thread_id_{};
   // afs-lint: allow(guarded-member: Start() spawns, Stop() joins; owner thread only)

@@ -1,5 +1,6 @@
 // Unit tests for the epoll data plane (core/event_loop.hpp): task posting
-// and the batch-drain contract, one-shot timers and cancellation, fd
+// and the batch-drain contract, one-shot timers (sub-ms precision,
+// re-arming to a nearer or later deadline) and cancellation, fd
 // readiness callbacks, the Stop() final drain, and the pool's round-robin
 // vs pinned shard placement.  The loop-hosted session protocol on top of
 // this is covered by strategies_test/fault_matrix_test/recovery_test.
@@ -7,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -132,6 +134,105 @@ TEST(EventLoopTest, TimersFireOnceAndCancelledTimersDoNot) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(cancelled_fired.load(), 0);
   loop.Stop();
+}
+
+// Records when a one-shot timer fired; waiters block until it has.
+class FireRecord {
+ public:
+  void Fire() {
+    MutexLock lock(mu_);
+    at_ = std::chrono::steady_clock::now();
+    fired_ = true;
+    cv_.NotifyAll();
+  }
+  std::chrono::steady_clock::time_point Await() {
+    MutexLock lock(mu_);
+    while (!fired_) cv_.Wait(mu_);
+    return at_;
+  }
+  bool fired() {
+    MutexLock lock(mu_);
+    return fired_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool fired_ AFS_GUARDED_BY(mu_) = false;
+  std::chrono::steady_clock::time_point at_ AFS_GUARDED_BY(mu_);
+};
+
+TEST(EventLoopTest, SubMillisecondTimerLag) {
+  EventLoop loop;
+  ASSERT_OK(loop.Start());
+
+  // A 25 us timer (the socket server's modelled service delay) fires at
+  // its deadline, not at the next whole millisecond.
+  constexpr Micros kDelay{25};
+  constexpr int kTrials = 200;
+  std::vector<std::int64_t> lag_us;
+  for (int i = 0; i < kTrials; ++i) {
+    FireRecord record;
+    const auto armed = std::chrono::steady_clock::now();
+    loop.AddTimer(kDelay, [&] { record.Fire(); });
+    const auto waited = std::chrono::duration_cast<Micros>(
+        record.Await() - armed);
+    ASSERT_GE(waited, kDelay) << "trial " << i << " fired early";
+    lag_us.push_back((waited - kDelay).count());
+  }
+  std::nth_element(lag_us.begin(), lag_us.begin() + kTrials / 2,
+                   lag_us.end());
+  EXPECT_LT(lag_us[kTrials / 2], 250) << "median timer lag in us";
+  loop.Stop();
+}
+
+TEST(EventLoopTest, NearerTimerAddedLaterFiresFirst) {
+  EventLoop loop;
+  ASSERT_OK(loop.Start());
+  using std::chrono::steady_clock;
+
+  // The far timer arms the timerfd first; the near one must re-arm it.
+  FireRecord far;
+  FireRecord near;
+  const auto far_armed = steady_clock::now();
+  loop.AddTimer(Micros{100'000}, [&] { far.Fire(); });
+  const auto near_armed = steady_clock::now();
+  loop.AddTimer(Micros{100}, [&] { near.Fire(); });
+  const auto near_at = near.Await();
+  EXPECT_GE(near_at - near_armed, Micros{100});
+  EXPECT_LT(near_at - near_armed, Micros{25'000});
+  EXPECT_FALSE(far.fired());
+
+  // Cancel the soonest armed timer: the timerfd re-arms to the later
+  // deadline, which still fires, not before it is due and well inside
+  // the loop's 1 s idle heartbeat.  The cancel runs in an fd callback
+  // woken by a write made after Drain, so it can only be seen by a later
+  // epoll_wait, and Run() arms the timerfd to this deadline before that
+  // wait: the cancel always hits the armed deadline.
+  std::atomic<int> cancelled_fired{0};
+  const std::uint64_t soonest =
+      loop.AddTimer(Micros{20'000}, [&] { cancelled_fired.fetch_add(1); });
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::atomic<bool> cancelled{false};
+  ASSERT_OK(loop.RegisterFd(fds[0], EventLoop::kReadable,
+                            [&](std::uint32_t) {
+                              char byte;
+                              (void)::read(fds[0], &byte, 1);
+                              loop.CancelTimer(soonest);
+                              cancelled = true;
+                            }));
+  Drain(loop);
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  const auto far_waited = far.Await() - far_armed;
+  EXPECT_TRUE(cancelled.load());
+  EXPECT_GE(far_waited, Micros{100'000});
+  EXPECT_LT(far_waited, Micros{500'000});
+  EXPECT_EQ(cancelled_fired.load(), 0);
+  loop.UnregisterFd(fds[0]);
+  loop.Stop();
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(EventLoopTest, FdReadinessCallbackSeesReadableMask) {

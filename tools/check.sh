@@ -212,13 +212,14 @@ run_bench_smoke() {
   # build/bench-smoke.json (committed BENCH_PR*.json files are the history
   # it is compared against, never overwritten here).
   # Smoke numbers, not publishable ones: --benchmark_min_time is
-  # deliberately tiny.  Five gates exit nonzero on regression: obs <5%,
+  # deliberately tiny.  Six gates exit nonzero on regression: obs <5%,
   # saturation >= 10k handles, the shm data plane carrying >=2x the pipe
   # lane's throughput on the vectored 64 KiB batches
   # (docs/SHM_DATA_PLANE.md), the overload contract (sheds carry
   # hints, admitted p99 within gate, queue bytes drain; docs/OVERLOAD.md),
-  # and the client cache serving hits within 1.5x of a passive ReadFile
-  # (docs/CACHING.md).
+  # the client cache serving hits within 1.5x of a passive ReadFile
+  # (docs/CACHING.md), and the Fig6a floor self-check (Baseline 8 B within
+  # its modelled service delay plus 3x the undelayed round trip).
   local out=build/bench-smoke.json bench
   echo "== bench-smoke: building benchmarks"
   cmake -B build -S . >/dev/null
@@ -245,7 +246,8 @@ for name in ("fig6_disk", "fig6_memory", "fig6_remote", "loop_churn"):
         report = json.load(f)
     combined["benchmarks"][name] = [
         {k: b[k] for k in ("name", "real_time", "cpu_time", "time_unit",
-                           "bytes_per_second", "items_per_second")
+                           "bytes_per_second", "items_per_second",
+                           "service_delay_us")
          if k in b}
         for b in report.get("benchmarks", [])
     ]
@@ -290,12 +292,15 @@ for s, g in gate.items():
 # within 1.5x of a passive ReadFile at the 2048-byte block size — the
 # memcpy-dominated column where both sides are past their fixed costs.
 # The miss-vs-uncached ratio at the one-block stride rides along as data.
-def remote_time(label, arg):
+def remote_entry(label, arg):
     suffix = f"Fig6a/Read/{label}/{arg}"
     for b in combined["benchmarks"]["fig6_remote"]:
         if suffix in b["name"]:
-            return b["real_time"]
+            return b
     raise SystemExit(f"bench-smoke: missing {suffix} in fig6_remote output")
+
+def remote_time(label, arg):
+    return remote_entry(label, arg)["real_time"]
 
 hit = remote_time("CacheHit", 2048)
 passive = remote_time("Passive", 2048)
@@ -314,6 +319,28 @@ if hit > 1.5 * passive:
 print(f"bench-smoke: cache gate hit/passive: "
       f"{combined['cache_gate']['hit_vs_passive']}x (<=1.5x required); "
       f"miss/uncached: {combined['cache_gate']['miss_vs_uncached']}x")
+
+# Fig6a floor self-check: Baseline is the modelled service delay (the
+# bench publishes it as service_delay_us) plus one bare RPC round trip
+# (BaselineNoDelay).  A loop timer that rounds the delay up to whole
+# milliseconds puts a ~1 ms floor under every Fig6a series and fails here.
+baseline_entry = remote_entry("Baseline", 8)
+baseline = baseline_entry["real_time"]
+delay = baseline_entry.get("service_delay_us")
+if delay is None:
+    raise SystemExit("bench-smoke: Fig6a/Read/Baseline/8 lacks service_delay_us")
+bare = remote_time("BaselineNoDelay", 8)
+floor_limit = delay + 3.0 * bare
+combined["fig6a_floor_gate"] = {
+    "baseline_us": baseline, "service_delay_us": delay, "no_delay_us": bare,
+    "limit_us": round(floor_limit, 2),
+}
+if baseline > floor_limit:
+    print(f"bench-smoke: FAIL Fig6a floor gate: Baseline 8 B {baseline:.2f}us "
+          f"> {delay:g}us + 3 x {bare:.2f}us", file=sys.stderr)
+    raise SystemExit(1)
+print(f"bench-smoke: Fig6a floor gate: Baseline 8 B {baseline:.2f}us "
+      f"<= {floor_limit:.2f}us ({delay:g}us + 3 x BaselineNoDelay)")
 
 with open(sys.argv[1], "w") as f:
     json.dump(combined, f, indent=2)
