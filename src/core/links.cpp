@@ -99,22 +99,6 @@ void PipeLink::set_shm(std::shared_ptr<ipc::ShmRing> ring,
   shm_threshold_ = threshold;
 }
 
-void PipeLink::set_admission(AdmissionGate::Limits limits,
-                             OverloadPolicy policy) {
-  gate_ = std::make_unique<AdmissionGate>(limits);
-  overload_ = policy;
-}
-
-void PipeLink::ReleaseAdmission() {
-  std::size_t cost;
-  {
-    MutexLock lock(read_mu_);
-    cost = admitted_cost_;
-    admitted_cost_ = 0;
-  }
-  if (cost != 0 && gate_ != nullptr) gate_->Release(cost);
-}
-
 Status PipeLink::AF_SendControl(const ControlMessage& message) {
   AFS_FAULT_POINT("core.link.send");
   // Outbound legs are bounded by the op deadline when configured, by the
@@ -122,16 +106,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
   // control pipe costs this op kTimeout, never a parked application.
   const Micros bound =
       response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
-  // Admission precedes every wire byte: a shed op fails with kOverloaded
-  // while the command/response stream is still synchronized, so the handle
-  // survives to retry it.  Teardown ops are exempt — a shed close leaks.
-  if (gate_ != nullptr && !AdmissionExempt(message.op)) {
-    const std::size_t cost = ControlMessageCost(message);
-    AFS_RETURN_IF_ERROR(
-        AdmitWithPolicy(*gate_, cost, overload_, response_timeout_));
-    MutexLock lock(read_mu_);
-    admitted_cost_ = cost;
-  }
   bool peer_ring;
   {
     // Stash the op's destination spans so a shm-lane response can scatter
@@ -156,7 +130,6 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     // op's bytes onto the pipes; shed refuses it before any byte moves.
     // (kBlock keeps the classic deadline-bounded ring write below.)
     if (overload_ == OverloadPolicy::kShed) {
-      ReleaseAdmission();
       overload_metrics::RecordShed(Micros{kRingShedHintMs * 1000});
       return OverloadedError("shm ring congested (slow consumer)",
                              kRingShedHintMs);
@@ -226,14 +199,6 @@ Status PipeLink::AdoptResponse(ControlResponse& response) {
 }
 
 Result<ControlResponse> PipeLink::AF_GetResponse() {
-  Result<ControlResponse> result = GetResponseInternal();
-  // The op leaves the admission domain with its response (or its failure);
-  // swap-to-zero makes this idempotent with the Shutdown backstop.
-  ReleaseAdmission();
-  return result;
-}
-
-Result<ControlResponse> PipeLink::GetResponseInternal() {
   AFS_FAULT_POINT("core.link.recv");
   MutexLock lock(read_mu_);
   if (pending_.has_value()) {
@@ -298,7 +263,6 @@ void PipeLink::PollHeartbeats() {
 }
 
 void PipeLink::Shutdown() {
-  ReleaseAdmission();  // an op abandoned mid-flight must not pin the gate
   // Taking the read lock fences out a concurrent heartbeat drain so the
   // descriptors are never closed under an in-flight poll.
   MutexLock lock(read_mu_);
@@ -397,33 +361,14 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
 
 Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
   AFS_FAULT_POINT("core.link.send");
-  // Admission precedes the slot: a shed op fails with kOverloaded without
-  // ever occupying the rendezvous, so the handle survives to retry it.
-  // (AdmitFor can wait, so the session mutex must not be held here.)
-  // Teardown ops are exempt — a shed close leaks.
-  std::size_t cost = 0;
-  if (gate_ != nullptr && !AdmissionExempt(message.op)) {
-    Micros block_bound{0};
-    {
-      MutexLock lock(mu_);
-      block_bound = response_timeout_;
-    }
-    cost = ControlMessageCost(message);
-    AFS_RETURN_IF_ERROR(AdmitWithPolicy(*gate_, cost, overload_, block_bound));
-  }
   MutexLock lock(mu_);
   while (state_ != SlotState::kIdle && !shutdown_) {
-    // The sentinel thread frees the slot per command, and Shutdown() wakes
+    // The sentinel side frees the slot per command, and Shutdown() wakes
     // every waiter with kClosed when the supervisor declares it dead.
     // afs-lint: allow(nonblocking: bounded by the slot protocol + Shutdown)
     cv_.Wait(mu_);
   }
-  if (shutdown_) {
-    lock.Unlock();
-    if (cost != 0) gate_->Release(cost);
-    return ClosedError("rendezvous closed");
-  }
-  admitted_cost_ = cost;
+  if (shutdown_) return ClosedError("rendezvous closed");
   message_ = message;  // inline lanes pass by reference (spans)
   state_ = SlotState::kCommand;
   lock.Unlock();
@@ -447,7 +392,7 @@ Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
       if (state_ == SlotState::kResponse || shutdown_) {
         break;  // answered (or closed) right at the wire
       }
-      return TimeoutError("sentinel thread did not respond");
+      return TimeoutError("sentinel did not respond in time");
     }
   }
   // A posted response outranks shutdown: the sentinel loop answers and
@@ -486,6 +431,22 @@ Result<ControlMessage> ThreadRendezvous::AF_GetControl() {
   return message_;
 }
 
+Result<ControlMessage> ThreadRendezvous::TryGetControl() {
+  MutexLock lock(mu_);
+  if (shutdown_ || state_ != SlotState::kCommand) {
+    return ClosedError("rendezvous closed");
+  }
+  return message_;
+}
+
+void ThreadRendezvous::WithdrawCommand() {
+  {
+    MutexLock lock(mu_);
+    if (state_ == SlotState::kCommand) state_ = SlotState::kIdle;
+  }
+  cv_.NotifyAll();
+}
+
 Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
   // In-process writes always travel the inline lane; only a zero-length
   // write could get here, and that needs no bytes.
@@ -496,18 +457,11 @@ Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
 Status ThreadRendezvous::AF_SendResponse(const ControlResponse& response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
   MutexLock lock(mu_);
-  if (shutdown_) {
-    lock.Unlock();
-    ReleaseAdmission();
-    return ClosedError("rendezvous closed");
-  }
+  if (shutdown_) return ClosedError("rendezvous closed");
   if (lease_) lease_->Renew();
   response_ = response;
   state_ = SlotState::kResponse;
   lock.Unlock();
-  // The answered op leaves the admission domain here, not at consumption:
-  // the sentinel is free again even if the application is slow to collect.
-  ReleaseAdmission();
   cv_.NotifyAll();
   return Status::Ok();
 }
@@ -517,24 +471,7 @@ void ThreadRendezvous::Shutdown() {
     MutexLock lock(mu_);
     shutdown_ = true;
   }
-  ReleaseAdmission();  // an op abandoned mid-flight must not pin the gate
   cv_.NotifyAll();
-}
-
-void ThreadRendezvous::ReleaseAdmission() {
-  std::size_t cost;
-  {
-    MutexLock lock(mu_);
-    cost = admitted_cost_;
-    admitted_cost_ = 0;
-  }
-  if (cost != 0 && gate_ != nullptr) gate_->Release(cost);
-}
-
-void ThreadRendezvous::set_admission(AdmissionGate::Limits limits,
-                                     OverloadPolicy policy) {
-  gate_ = std::make_unique<AdmissionGate>(limits);
-  overload_ = policy;
 }
 
 void ThreadRendezvous::set_response_timeout(Micros timeout) noexcept {

@@ -5,10 +5,16 @@
 //     Every operation costs kernel copies and two protection-domain
 //     crossings; that cost is the point of the Figure 6 comparison.
 //
-//   ThreadRendezvous — one in-process rendezvous slot guarded by a mutex
-//     and condition variables ("events and shared memory", Appendix A.3),
-//     the DLL-with-thread strategy.  Data moves through the inline lanes of
+//   ThreadRendezvous — one in-process command slot guarded by a mutex and
+//     a condition variable ("events and shared memory", Appendix A.3).  It
+//     is the DLL-with-thread strategy's link, and the loop strategy's
+//     mailbox (core/loop_host.hpp), where a shard task stands in for the
+//     sentinel thread.  Data moves through the inline lanes of
 //     ControlMessage, giving one user-level copy per transfer.
+//
+// Neither link admits ops: per-link admission budgets (admit_* spec keys)
+// bracket each round trip in the strategy stub (core/strategies.cpp), so
+// a link only ever carries an op that was already admitted.
 #pragma once
 
 #include <map>
@@ -109,12 +115,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // stays on the pipes.
   void set_shm(std::shared_ptr<ipc::ShmRing> ring, std::size_t threshold);
 
-  // Per-link admission budgets (docs/OVERLOAD.md): every op charges its
-  // cost before the control frame leaves; a shed op fails with kOverloaded
-  // before any byte hits the wire, so the stream stays usable.  Configure
-  // before the link is shared.
-  void set_admission(AdmissionGate::Limits limits, OverloadPolicy policy);
-
   // What a congested shm ring does to a bulk payload (docs/OVERLOAD.md):
   // kBrownout (the default) drops back to the pipe lane for this op,
   // kShed fails it with kOverloaded, kBlock keeps the classic bounded
@@ -129,10 +129,6 @@ class PipeLink final : public sentinel::SentinelLink {
   Status AdoptResponse(sentinel::ControlResponse& response)
       AFS_REQUIRES(read_mu_);
 
-  Result<sentinel::ControlResponse> GetResponseInternal() AFS_NONBLOCKING;
-
-  void ReleaseAdmission();
-
   // afs-lint: allow(guarded-member: fd table fixed at construction; read_mu_ serializes response readers)
   PipeLinkFds fds_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
@@ -146,8 +142,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // afs-lint: allow(guarded-member: configured before the link is shared)
   std::size_t shm_threshold_ = 4096;
   // afs-lint: allow(guarded-member: configured before the link is shared)
-  std::unique_ptr<AdmissionGate> gate_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
   OverloadPolicy overload_ = OverloadPolicy::kBrownout;
 
   // Serializes readers of the response pipe: the application operation in
@@ -158,9 +152,6 @@ class PipeLink final : public sentinel::SentinelLink {
   // any op is sent; it gates ring routing only.
   bool peer_ring_ AFS_GUARDED_BY(read_mu_) = false;
   std::optional<sentinel::ControlResponse> pending_ AFS_GUARDED_BY(read_mu_);
-  // Cost of the admitted op in flight; zero when none.  Swap-to-zero on
-  // release keeps the gate balanced when Shutdown races a response.
-  std::size_t admitted_cost_ AFS_GUARDED_BY(read_mu_) = 0;
   // Destination spans of the op in flight (inline_out / vec_out), stashed
   // at send so a shm-lane response scatters ring bytes straight into the
   // caller's buffers — the zero-extra-copy read path.
@@ -220,10 +211,13 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   std::uint8_t last_lane_ = 0;
 };
 
-// Both halves of the thread strategy's connection in one object.  The
-// application stub and the sentinel thread rendezvous on a single
-// in-flight command; ControlMessage's inline lanes pass application
-// buffers to the sentinel by reference.
+// Both halves of an in-process connection in one object: the command
+// slot.  The application stub and the sentinel side rendezvous on a single
+// in-flight command (kIdle -> kCommand -> kResponse -> kIdle);
+// ControlMessage's inline lanes pass application buffers to the sentinel
+// by reference.  The sentinel side is a dedicated thread parked in
+// AF_GetControl (thread strategy) or a shard task that takes the parked
+// command with TryGetControl (loop strategy).
 class ThreadRendezvous final : public sentinel::SentinelLink,
                                public sentinel::SentinelEndpoint {
  public:
@@ -242,7 +236,17 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   Status AF_SendResponse(const sentinel::ControlResponse& response)
       AFS_NONBLOCKING override;
 
-  // Wakes both sides with kClosed; further traffic fails.
+  // Non-blocking AF_GetControl: the parked command, or kClosed when no
+  // command is parked or the slot is shut.
+  Result<sentinel::ControlMessage> TryGetControl();
+
+  // Undoes the application's slot claim before any sentinel has taken
+  // the command (the loop shard's run queue was full), so the next
+  // AF_SendControl finds the slot idle.
+  void WithdrawCommand();
+
+  // Latches the slot shut and wakes both sides: further traffic fails
+  // with kClosed, but a response already posted is still collected.
   void Shutdown();
 
   // Bounds the application's AF_GetResponse wait; kTimeout when the
@@ -254,20 +258,8 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   // thread wakes every `interval` while idle just to stamp the lease.
   void set_lease(std::shared_ptr<Lease> lease, Micros interval);
 
-  // Per-link admission budgets (docs/OVERLOAD.md); configure before the
-  // sentinel thread starts.  A shed op fails with kOverloaded without
-  // touching the rendezvous slot, so the command stream stays usable.
-  void set_admission(AdmissionGate::Limits limits, OverloadPolicy policy);
-
  private:
   enum class SlotState { kIdle, kCommand, kResponse };
-
-  void ReleaseAdmission();
-
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  std::unique_ptr<AdmissionGate> gate_;
-  // afs-lint: allow(guarded-member: configured before the link is shared)
-  OverloadPolicy overload_ = OverloadPolicy::kShed;
 
   Mutex mu_;
   CondVar cv_;
@@ -279,9 +271,6 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
   std::shared_ptr<Lease> lease_ AFS_GUARDED_BY(mu_);
   Micros lease_interval_ AFS_GUARDED_BY(mu_){0};
-  // Cost of the admitted op in flight; zero when none (swap-to-zero
-  // release keeps the gate balanced when Shutdown races a response).
-  std::size_t admitted_cost_ AFS_GUARDED_BY(mu_) = 0;
   sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
   sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
 };

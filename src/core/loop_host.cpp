@@ -48,14 +48,19 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
 // ---------------------------------------------------------------------
 // LoopSession
 
-LoopSession::LoopSession(EventLoop& shard,
+LoopSession::LoopSession(EventLoop& shard, AdmissionGate& shard_gate,
+                         OverloadPolicy overload, Micros response_timeout,
                          std::unique_ptr<sentinel::Sentinel> sent,
                          sentinel::SentinelContext ctx, CacheAssembly cache)
     : shard_(shard),
+      shard_gate_(shard_gate),
+      overload_(overload),
+      response_timeout_(response_timeout),
       sentinel_(std::move(sent)),
       ctx_(std::move(ctx)),
       cache_(std::move(cache)) {
   ctx_.cache = cache_.store.get();
+  slot_.set_response_timeout(response_timeout);
   SessionsGauge().Add(1);
 }
 
@@ -66,85 +71,32 @@ LoopSession::~LoopSession() {
   SessionsGauge().Add(-1);
 }
 
-void LoopSession::set_response_timeout(Micros timeout) {
-  MutexLock lock(mu_);
-  response_timeout_ = timeout;
-}
-
 void LoopSession::set_lease(std::shared_ptr<Lease> lease, Micros interval) {
   lease_ = std::move(lease);
   heartbeat_interval_ = interval;
 }
 
-void LoopSession::set_admission(AdmissionGate* shard_gate,
-                                const AdmissionGate::Limits& link_limits,
-                                OverloadPolicy policy) {
-  shard_gate_ = shard_gate;
-  overload_ = policy;
-  if (link_limits.max_queue_bytes != 0 || link_limits.max_inflight != 0 ||
-      link_limits.rate_bytes_per_second != 0) {
-    link_gate_ = std::make_unique<AdmissionGate>(link_limits);
-  }
-}
-
-Status LoopSession::AdmitOp(std::size_t cost) {
-  Micros block_bound{0};
-  {
-    MutexLock lock(mu_);
-    block_bound = response_timeout_;
-  }
-  if (link_gate_ != nullptr) {
-    AFS_RETURN_IF_ERROR(
-        AdmitWithPolicy(*link_gate_, cost, overload_, block_bound));
-  }
-  if (shard_gate_ != nullptr) {
-    Status shard = AdmitWithPolicy(*shard_gate_, cost, overload_, block_bound);
-    if (!shard.ok()) {
-      if (link_gate_ != nullptr) link_gate_->Release(cost);
-      return shard;
-    }
-  }
-  return Status::Ok();
-}
-
 void LoopSession::ReleaseAdmission() {
-  std::size_t cost;
-  {
-    MutexLock lock(mu_);
-    cost = admitted_cost_;
-    admitted_cost_ = 0;
-  }
-  if (cost == 0) return;
-  if (link_gate_ != nullptr) link_gate_->Release(cost);
-  if (shard_gate_ != nullptr) shard_gate_->Release(cost);
+  const std::size_t cost = admitted_cost_.exchange(0);
+  if (cost != 0) shard_gate_.Release(cost);
 }
 
 Status LoopSession::AF_SendControl(const ControlMessage& message) {
-  AFS_FAULT_POINT("core.link.send");
   // Admission precedes the mailbox: a shed op fails with kOverloaded
   // without ever occupying the slot (no frame, no state change), so the
-  // handle survives to retry it after the carried hint.
-  const bool gated = (shard_gate_ != nullptr || link_gate_ != nullptr) &&
-                     !AdmissionExempt(message.op);
-  const std::size_t cost = gated ? ControlMessageCost(message) : 0;
-  if (gated) AFS_RETURN_IF_ERROR(AdmitOp(cost));
-  MutexLock lock(mu_);
-  while (state_ != SlotState::kIdle && !closed_) {
-    // The shard frees the slot per command, and ForceDown/Shutdown wake
-    // every waiter with kClosed when the supervisor declares it dead.
-    // afs-lint: allow(nonblocking: bounded by the slot protocol + ForceDown)
-    cv_.Wait(mu_);
+  // handle survives to retry it after the carried hint.  Teardown ops are
+  // exempt — a shed close leaks.
+  std::size_t cost = 0;
+  if (!AdmissionExempt(message.op)) {
+    cost = ControlMessageCost(message);
+    AFS_RETURN_IF_ERROR(
+        AdmitWithPolicy(shard_gate_, cost, overload_, response_timeout_));
   }
-  if (closed_) {
-    admitted_cost_ = cost;
-    lock.Unlock();
-    ReleaseAdmission();
-    return ClosedError("loop session closed");
+  if (Status claimed = slot_.AF_SendControl(message); !claimed.ok()) {
+    if (cost != 0) shard_gate_.Release(cost);
+    return claimed;
   }
-  admitted_cost_ = cost;
-  message_ = message;  // inline lanes pass by reference (spans)
-  state_ = SlotState::kCommand;
-  lock.Unlock();
+  admitted_cost_.store(cost);
   // The doorbell, not a dedicated thread: the command is a task on the
   // session's shard, batched with every other ready session's commands.
   // Bound, not a lambda: Service() runs on the loop thread, and the member
@@ -158,12 +110,8 @@ Status LoopSession::AF_SendControl(const ControlMessage& message) {
     // The shard's task-count backstop (AFS_LOOP_QUEUE_LIMIT) tripped:
     // undo the slot claim and shed.  Nothing was posted, so the stream
     // stays synchronized.
-    {
-      MutexLock relock(mu_);
-      if (state_ == SlotState::kCommand) state_ = SlotState::kIdle;
-    }
+    slot_.WithdrawCommand();
     ReleaseAdmission();
-    cv_.NotifyAll();
     constexpr std::int64_t kQueueFullHintMs = 5;
     overload_metrics::RecordShed(Micros{kQueueFullHintMs * 1000});
     return OverloadedError("loop shard run queue full", kQueueFullHintMs);
@@ -172,85 +120,33 @@ Status LoopSession::AF_SendControl(const ControlMessage& message) {
 }
 
 Result<ControlResponse> LoopSession::AF_GetResponse() {
-  AFS_FAULT_POINT("core.link.recv");
-  MutexLock lock(mu_);
-  const bool bounded = response_timeout_.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(response_timeout_.count());
-  while (state_ != SlotState::kResponse && !closed_) {
-    if (!bounded) {
-      // Unbounded only when the operator set op_timeout_ms=0 to opt out of
-      // deadlines; ForceDown still wakes it with kClosed.
-      // afs-lint: allow(nonblocking: operator opted out of the deadline)
-      cv_.Wait(mu_);
-    } else if (!cv_.WaitUntil(mu_, deadline)) {
-      if (state_ == SlotState::kResponse || closed_) {
-        break;  // answered (or closed) right at the wire
-      }
-      return TimeoutError("loop shard did not respond");
-    }
-  }
-  // A delivered response outranks the closed latch: the close
-  // acknowledgement and the failed-open banner both arrive with the latch
-  // already set and must not be dropped.
-  if (state_ != SlotState::kResponse) return ClosedError("loop session closed");
-  ControlResponse response = std::move(response_);
-  state_ = SlotState::kIdle;
-  lock.Unlock();
-  cv_.NotifyAll();
-  return response;
+  return slot_.AF_GetResponse();
 }
 
-void LoopSession::ForceDown() {
-  bool post_release = false;
-  {
-    MutexLock lock(mu_);
-    closed_ = true;
-    if (!release_posted_) {
-      release_posted_ = true;
-      post_release = true;
-    }
-  }
-  cv_.NotifyAll();
-  if (post_release) {
-    // Crash semantics: the sentinel is dropped without OnClose and a memory
-    // cache's un-finalized state is lost — the loop analogue of SIGKILL,
-    // and exactly the shape the recovery layer knows how to replay.
-    shard_.Post([self = shared_from_this()] {
-      self->ReleaseLoopState(Release::kCrash);
-    });
-  }
+void LoopSession::Close(Release how) {
+  slot_.Shutdown();
+  if (release_posted_.exchange(true)) return;
+  shard_.Post([self = shared_from_this(), how] { self->ReleaseLoopState(how); });
 }
 
-void LoopSession::Shutdown() {
-  bool post_release = false;
-  {
-    MutexLock lock(mu_);
-    closed_ = true;
-    if (!release_posted_) {
-      release_posted_ = true;
-      post_release = true;
-    }
-  }
-  cv_.NotifyAll();
-  if (post_release) {
-    shard_.Post([self = shared_from_this()] {
-      self->ReleaseLoopState(Release::kImplicitClose);
-    });
-  }
+// Crash semantics: the sentinel is dropped without OnClose and a memory
+// cache's un-finalized state is lost — the loop analogue of SIGKILL, and
+// exactly the shape the recovery layer knows how to replay.
+void LoopSession::ForceDown() { Close(Release::kCrash); }
+
+void LoopSession::Shutdown() { Close(Release::kImplicitClose); }
+
+void LoopSession::Crash() {
+  slot_.Shutdown();
+  release_posted_.store(true);
+  ReleaseLoopState(Release::kCrash);
 }
 
 void LoopSession::ServiceOpen() {
   // Crash window before the open is acknowledged — same recoverable point
   // the forked strategies expose (the application is parked on the banner).
   if (!fault::Hit("sentinel.dispatch.openack").ok()) {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-      release_posted_ = true;
-    }
-    cv_.NotifyAll();
-    ReleaseLoopState(Release::kCrash);
+    Crash();
     return;
   }
   const Status open_status = sentinel_->OnOpen(ctx_);
@@ -262,29 +158,22 @@ void LoopSession::ServiceOpen() {
   if (!opened_) {
     // Mirror the dispatch loop's lifecycle: a failed OnOpen means no
     // session — OnClose must not run.  The banner still ships below.
-    {
-      MutexLock lock(mu_);
-      release_posted_ = true;
-    }
+    release_posted_.store(true);
     released_ = true;
     sentinel_.reset();
     cache_ = CacheAssembly{};
   } else {
     ArmHeartbeat();
   }
-  Deliver(std::move(banner), /*closing=*/!opened_);
+  Deliver(banner, /*closing=*/!opened_);
 }
 
 void LoopSession::Service() {
-  ControlMessage msg;
-  {
-    MutexLock lock(mu_);
-    if (closed_ || state_ != SlotState::kCommand) {
-      lock.Unlock();
-      ReleaseAdmission();  // raced ForceDown: the op will never be served
-      return;
-    }
-    msg = message_;  // spans still reference the parked application's buffers
+  // Spans still reference the parked application's buffers.
+  Result<ControlMessage> msg = slot_.TryGetControl();
+  if (!msg.ok()) {
+    ReleaseAdmission();  // raced ForceDown: the op will never be served
+    return;
   }
   if (lease_) lease_->Renew();
 
@@ -292,48 +181,32 @@ void LoopSession::Service() {
   // the application's waiter wakes with kClosed and supervision replays the
   // session — while every co-hosted session on the shard keeps serving.
   if (!fault::Hit("core.loop.crash").ok()) {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-      release_posted_ = true;
-    }
-    cv_.NotifyAll();
-    ReleaseLoopState(Release::kCrash);
+    Crash();
     return;
   }
 
   sentinel::OpOutcome out =
-      sentinel::PerformControlOp(*sentinel_, ctx_, msg, nullptr);
+      sentinel::PerformControlOp(*sentinel_, ctx_, *msg, nullptr);
   if (lease_) lease_->Renew();
   switch (out.verdict) {
     case sentinel::OpVerdict::kCrashed:
-    case sentinel::OpVerdict::kChannelBroken: {
-      {
-        MutexLock lock(mu_);
-        closed_ = true;
-        release_posted_ = true;
-      }
-      cv_.NotifyAll();
-      ReleaseLoopState(Release::kCrash);
+    case sentinel::OpVerdict::kChannelBroken:
+      Crash();
       return;
-    }
     case sentinel::OpVerdict::kClosed: {
       // OnClose already ran inside PerformControlOp; finalize and drop the
       // sentinel before acknowledging, like the worker-thread epilogue.
       // afs-lint: allow(status-discard: close response carries OnClose's status)
       (void)cache_.Finalize();
-      {
-        MutexLock lock(mu_);
-        release_posted_ = true;
-      }
+      release_posted_.store(true);
       released_ = true;
       sentinel_.reset();
       cache_ = CacheAssembly{};
-      Deliver(std::move(out.response), /*closing=*/true);
+      Deliver(out.response, /*closing=*/true);
       return;
     }
     case sentinel::OpVerdict::kRespond:
-      Deliver(std::move(out.response), /*closing=*/false);
+      Deliver(out.response, /*closing=*/false);
       return;
   }
 }
@@ -356,10 +229,7 @@ void LoopSession::ReleaseLoopState(Release how) {
 }
 
 void LoopSession::HeartbeatTick() {
-  {
-    MutexLock lock(mu_);
-    if (closed_) return;  // session over; let the timer chain end
-  }
+  if (release_posted_.load()) return;  // session over; let the chain end
   // The timed firing itself is the heartbeat: a wedged shard (or a sentinel
   // op squatting on it) starves this renewal and the lease expires.
   if (lease_) lease_->Renew();
@@ -372,17 +242,20 @@ void LoopSession::ArmHeartbeat() {
                   [self = shared_from_this()] { self->HeartbeatTick(); });
 }
 
-void LoopSession::Deliver(ControlResponse response, bool closing) {
-  // The answered op leaves the admission domain here, not at collection:
-  // the shard is free again even if the application is slow to wake.
+void LoopSession::Deliver(const ControlResponse& response, bool closing) {
+  // The answered op leaves the shard's admission domain here, not at
+  // collection: the shard is free again even if the application is slow
+  // to wake.
   ReleaseAdmission();
-  {
-    MutexLock lock(mu_);
-    response_ = std::move(response);
-    state_ = SlotState::kResponse;
-    if (closing) closed_ = true;
+  const bool answered = slot_.AF_SendResponse(response).ok();
+  if (answered && !closing) return;
+  // Closing, or the slot refused the answer (ForceDown/Shutdown shut it
+  // first, or an injected fault): latch it shut, and end the session here
+  // unless its release is already posted.
+  slot_.Shutdown();
+  if (!answered && !release_posted_.exchange(true)) {
+    ReleaseLoopState(Release::kCrash);
   }
-  cv_.NotifyAll();
 }
 
 // ---------------------------------------------------------------------
@@ -424,14 +297,13 @@ Result<std::shared_ptr<LoopSession>> LoopHost::Open(
     std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
     CacheAssembly cache, int shard_pin, Micros response_timeout,
     Micros heartbeat_interval, std::shared_ptr<Lease> lease,
-    const AdmissionGate::Limits& link_limits, OverloadPolicy overload) {
+    OverloadPolicy overload) {
   AFS_RETURN_IF_ERROR(pool_.Start());
   const std::size_t index = pool_.PickShard(shard_pin);
   EventLoop& shard = pool_.ShardAt(index);
   auto session = std::shared_ptr<LoopSession>(new LoopSession(
-      shard, std::move(sent), std::move(ctx), std::move(cache)));
-  session->set_response_timeout(response_timeout);
-  session->set_admission(gates_[index].get(), link_limits, overload);
+      shard, *gates_[index], overload, response_timeout, std::move(sent),
+      std::move(ctx), std::move(cache)));
   if (lease != nullptr) session->set_lease(std::move(lease), heartbeat_interval);
   shard.Post([session] { session->ServiceOpen(); });
   return session;

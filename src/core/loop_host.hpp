@@ -1,12 +1,12 @@
 // Event-loop sentinel host: many sentinels per process, one shard thread
 // per event loop, no per-session descriptors.
 //
-// A LoopSession is the loop-strategy sibling of ThreadRendezvous: the
-// application side posts one in-flight command into a mailbox slot and
-// parks in AF_GetResponse; instead of a dedicated sentinel thread waking
-// on a condition variable, the command is posted onto the session's shard
-// (core/event_loop.hpp), whose loop thread services it through
-// sentinel::PerformControlOp and delivers the response back into the slot.
+// A LoopSession's mailbox is a ThreadRendezvous (core/links.hpp): the
+// application side claims its command slot and parks in AF_GetResponse
+// exactly as on the thread strategy.  Instead of a dedicated sentinel
+// thread waking on the slot, the command is posted onto the session's
+// shard (core/event_loop.hpp), whose loop thread takes it, services it
+// through sentinel::PerformControlOp and answers into the slot.
 // The shard's run queue is the data plane: one eventfd doorbell per shard,
 // batched drains, and the inline ControlMessage lanes carrying payloads by
 // reference — which is how ≥100k concurrent handles fit under an ordinary
@@ -20,11 +20,12 @@
 // cache state is lost — exactly the crash shape the recovery layer replays.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "core/event_loop.hpp"
+#include "core/links.hpp"
 #include "core/overload.hpp"
 #include "core/strategies.hpp"
 #include "sentinel/endpoint.hpp"
@@ -61,41 +62,47 @@ class LoopSession final : public sentinel::SentinelLink,
  private:
   friend class LoopHost;
 
-  enum class SlotState : std::uint8_t { kIdle, kCommand, kResponse };
   enum class Release : std::uint8_t { kImplicitClose, kCrash };
 
-  LoopSession(EventLoop& shard, std::unique_ptr<sentinel::Sentinel> sent,
+  // `shard_gate` (owned by LoopHost, outliving every session) guards the
+  // shard's run queue; `overload` shapes its admission and `response_timeout`
+  // bounds both the response wait and a kBlock admission wait.
+  LoopSession(EventLoop& shard, AdmissionGate& shard_gate,
+              OverloadPolicy overload, Micros response_timeout,
+              std::unique_ptr<sentinel::Sentinel> sent,
               sentinel::SentinelContext ctx, CacheAssembly cache);
 
-  void set_response_timeout(Micros timeout);
   void set_lease(std::shared_ptr<Lease> lease, Micros interval);
 
-  // Admission wiring (docs/OVERLOAD.md): the shared per-shard gate plus
-  // optional per-link budgets from the spec (admit_bps/admit_burst/
-  // admit_inflight).  Configured before the session is shared.
-  void set_admission(AdmissionGate* shard_gate,
-                     const AdmissionGate::Limits& link_limits,
-                     OverloadPolicy policy);
+  // Latches the slot shut and posts the loop-thread release, once.
+  void Close(Release how);
 
   // Loop-thread entries.
   void ServiceOpen();
   void Service();
+  // The session dies on the loop thread without a response: waiters wake
+  // with kClosed and the sentinel is dropped with crash semantics.
+  void Crash();
   void ReleaseLoopState(Release how);
   void HeartbeatTick();
   void ArmHeartbeat();
 
-  // Admission bracket around one serviced command.  Admit charges the
-  // link gate then the shard gate; Release undoes both exactly once
-  // (swap-to-zero under mu_), however the op ends.
-  Status AdmitOp(std::size_t cost) AFS_NONBLOCKING;
+  // Returns the in-flight command's shard-gate charge, exactly once
+  // (swap-to-zero), however the op ends.
   void ReleaseAdmission();
 
-  // Posts `response` into the mailbox slot; `closing` latches the session
-  // shut (a posted response still outranks the latch, so the close
-  // acknowledgement is never dropped).
-  void Deliver(sentinel::ControlResponse response, bool closing);
+  // Answers into the slot; `closing` then latches it shut (a posted
+  // response still outranks the latch, so the close acknowledgement is
+  // never dropped).
+  void Deliver(const sentinel::ControlResponse& response, bool closing);
 
   EventLoop& shard_;
+  // Shared with every co-tenant session on the shard (docs/OVERLOAD.md),
+  // so it is released when the shard answers, not when the application
+  // collects the answer.
+  AdmissionGate& shard_gate_;
+  const OverloadPolicy overload_;
+  const Micros response_timeout_;
 
   // Loop-thread-confined sentinel state (only ServiceOpen/Service/
   // ReleaseLoopState touch these, all on the shard thread).
@@ -115,23 +122,15 @@ class LoopSession final : public sentinel::SentinelLink,
   std::shared_ptr<Lease> lease_;
   // afs-lint: allow(guarded-member: configured before the session is shared)
   Micros heartbeat_interval_{0};
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  AdmissionGate* shard_gate_ = nullptr;  // owned by LoopHost; outlives us
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  std::unique_ptr<AdmissionGate> link_gate_;
-  // afs-lint: allow(guarded-member: configured before the session is shared)
-  OverloadPolicy overload_ = OverloadPolicy::kShed;
 
-  Mutex mu_;
-  CondVar cv_;
-  SlotState state_ AFS_GUARDED_BY(mu_) = SlotState::kIdle;
-  bool closed_ AFS_GUARDED_BY(mu_) = false;
-  bool release_posted_ AFS_GUARDED_BY(mu_) = false;
-  Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
-  // Cost of the admitted command in flight; zero when none.
-  std::size_t admitted_cost_ AFS_GUARDED_BY(mu_) = 0;
-  sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
-  sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
+  // The command slot both sides meet in.
+  ThreadRendezvous slot_;
+  // Set once the session's end is decided (closed, crashed or released):
+  // the loop-thread release is posted at most once, and the heartbeat
+  // chain stops.
+  std::atomic<bool> release_posted_{false};
+  // Shard-gate charge of the command in flight; zero when none.
+  std::atomic<std::size_t> admitted_cost_{0};
 };
 
 // The process-wide shard pool hosting loop-strategy sessions.  Sized by
@@ -152,12 +151,13 @@ class LoopHost {
   // Stands up one session: places it on a shard (`shard_pin` >= 0 pins, see
   // the "loop_shard" spec key; negative round-robins), posts the OnOpen
   // banner task, and arms the lease heartbeat timer.  The caller must wait
-  // for the banner via AF_GetResponse.
+  // for the banner via AF_GetResponse.  `overload` is the policy of the
+  // shard gate's admission; per-link budgets are the stub's
+  // (core/strategies.cpp).
   Result<std::shared_ptr<LoopSession>> Open(
       std::unique_ptr<sentinel::Sentinel> sent, sentinel::SentinelContext ctx,
       CacheAssembly cache, int shard_pin, Micros response_timeout,
       Micros heartbeat_interval, std::shared_ptr<Lease> lease,
-      const AdmissionGate::Limits& link_limits = {},
       OverloadPolicy overload = OverloadPolicy::kShed);
 
   // The admission gate guarding shard `index`'s run queue (budgets from

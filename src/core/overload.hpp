@@ -5,11 +5,11 @@
 // multiplexing many applications — and a shared host that queues without
 // bound converts "too much traffic" into ballooning memory, wedged shards,
 // and timeouts for everyone.  This module makes saturation a *handled*
-// state instead: each queueing domain (a loop shard, a rendezvous slot, a
-// link's bulk lane) owns an AdmissionGate; an op either gets capacity
-// charged against the gate's budgets or is shed immediately with
-// kOverloaded and a retry-after hint the whole stack propagates
-// (docs/OVERLOAD.md).
+// state instead: each queueing domain (a link's per-link budget, held by
+// the strategy stub; a loop shard, held by the loop host) owns an
+// AdmissionGate; an op either gets capacity charged against the gate's
+// budgets or is shed immediately with kOverloaded and a retry-after hint
+// the whole stack propagates (docs/OVERLOAD.md).
 #pragma once
 
 #include <cstdint>

@@ -120,14 +120,6 @@ Micros OpTimeout(const OpenRequest& request) {
   return ms > 0 ? Micros{ms * 1000} : Micros{0};
 }
 
-// The spec's overload policy (docs/OVERLOAD.md): how this link behaves at
-// a saturated queueing point.  kShed is the admission default; the shm
-// ring lane separately defaults to kBrownout (pipes stay available).
-Result<OverloadPolicy> SpecOverloadPolicy(const OpenRequest& request,
-                                          OverloadPolicy fallback) {
-  return OverloadPolicyFromSpec(request.spec.config, fallback);
-}
-
 // Bound on one shm-ring stream leg (mirrors the pipe bound in links.cpp):
 // ten seconds of a full/empty ring means the peer stopped participating.
 constexpr Micros kRingIoTimeout{10'000'000};
@@ -176,17 +168,27 @@ SentinelContext BuildContext(const OpenRequest& request,
 }
 
 // ---------------------------------------------------------------------
-// Stub for the command strategies (process-plus-control and thread): a
-// FileHandle whose every operation becomes a control message.
+// Stub for the command strategies (process-plus-control, thread and loop):
+// a FileHandle whose every operation becomes a control message.
 class LinkHandle final : public vfs::FileHandle {
  public:
+  // `admit` holds the spec's per-link admission budgets (admit_* keys,
+  // docs/OVERLOAD.md); when any is bounding, every round trip but kClose
+  // charges them under `overload`, a kBlock wait bounded by `op_timeout`.
   LinkHandle(sentinel::SentinelLink* link, std::shared_ptr<void> keepalive,
              std::function<void()> cleanup,
-             std::shared_ptr<CacheLeaseChannel> cache_channel = nullptr)
+             std::shared_ptr<CacheLeaseChannel> cache_channel,
+             const AdmissionGate::Limits& admit, OverloadPolicy overload,
+             Micros op_timeout)
       : link_(link),
         keepalive_(std::move(keepalive)),
         cleanup_(std::move(cleanup)),
-        cache_channel_(std::move(cache_channel)) {}
+        cache_channel_(std::move(cache_channel)),
+        gate_(AdmissionConfigured(admit)
+                  ? std::make_unique<AdmissionGate>(admit)
+                  : nullptr),
+        overload_(overload),
+        op_timeout_(op_timeout) {}
 
   ~LinkHandle() override { Abort(); }
 
@@ -315,8 +317,7 @@ class LinkHandle final : public vfs::FileHandle {
   }
 
  private:
-  // One command/response exchange with the sentinel — the rendezvous
-  // path the event-loop refactor must multiplex.
+  // One command/response exchange with the sentinel.
   Result<ControlResponse> RoundTrip(ControlMessage& msg) AFS_NONBLOCKING {
     if (poisoned_) return ClosedError("handle poisoned by transport failure");
     // The link leg of the trace: the sentinel parents its own span on this
@@ -337,15 +338,26 @@ class LinkHandle final : public vfs::FileHandle {
       // Lease request / recall ack ride the command frame (§3.4).
       msg.cache_flags = cache_channel_->OutgoingFlags();
     }
-    Status sent = link_->AF_SendControl(msg);
+    // The per-link admission bracket: the op is charged before its command
+    // leaves and released exactly once when its answer (or its failure)
+    // comes back.  The handle runs one op at a time, so the link holds at
+    // most this one.  Teardown is exempt — a shed close leaks.
+    std::size_t admitted = 0;
+    if (gate_ != nullptr && !AdmissionExempt(msg.op)) {
+      admitted = ControlMessageCost(msg);
+      AFS_RETURN_IF_ERROR(
+          AdmitWithPolicy(*gate_, admitted, overload_, op_timeout_));
+    }
+    const Status sent = link_->AF_SendControl(msg);
+    Result<ControlResponse> resp =
+        sent.ok() ? link_->AF_GetResponse() : Result<ControlResponse>(sent);
+    if (admitted != 0) gate_->Release(admitted);
     if (sent.code() == ErrorCode::kOverloaded) {
       // Shed before any frame left the link: the command/response stream
       // is still synchronized, so the handle stays usable — kOverloaded is
       // retryable (after the carried hint), never poisonous.
       return sent;
     }
-    if (!sent.ok()) return Poison(std::move(sent));
-    Result<ControlResponse> resp = link_->AF_GetResponse();
     if (!resp.ok()) return Poison(resp.status());
     if (cache_channel_ != nullptr) {
       // Every decoded answer re-arms (or revokes) the client's lease —
@@ -405,8 +417,35 @@ class LinkHandle final : public vfs::FileHandle {
   std::function<void()> cleanup_;  // null once the link is torn down
   // Internally lock-free; shared with the link's transport threads.
   const std::shared_ptr<CacheLeaseChannel> cache_channel_;
+  const std::unique_ptr<AdmissionGate> gate_;  // null: no per-link budget
+  const OverloadPolicy overload_;
+  const Micros op_timeout_;
   bool poisoned_ = false;
 };
+
+// The common tail of the command-strategy opens: wraps `link` in the stub,
+// waits for the open banner (OnOpen's status decides whether the open
+// succeeds), tears the link down when it does not, and hands the banner's
+// open-time cache grant to the client cache, so a caching client holds its
+// lease before the first data op.
+Result<std::unique_ptr<vfs::FileHandle>> FinishLinkOpen(
+    const OpenRequest& request, OverloadPolicy overload,
+    sentinel::SentinelLink* link, std::shared_ptr<void> keepalive,
+    std::function<void()> cleanup) {
+  auto handle = std::make_unique<LinkHandle>(
+      link, std::move(keepalive), std::move(cleanup), request.cache_channel,
+      AdmissionLimitsFromSpec(request.spec.config), overload,
+      OpTimeout(request));
+  Result<ControlResponse> banner = link->AF_GetResponse();
+  if (!banner.ok() || !banner->status.ok()) {
+    handle->Abort();
+    return banner.ok() ? banner->status : banner.status();
+  }
+  if (request.cache_channel != nullptr) {
+    request.cache_channel->Observe(*banner);
+  }
+  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+}
 
 // ---------------------------------------------------------------------
 // DLL-only strategy: operations call the sentinel directly.
@@ -613,18 +652,11 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
   AFS_ASSIGN_OR_RETURN(res->sent, registry.Create(request.spec));
   res->ctx = BuildContext(request, res->cache);
 
+  // Overload policy of the per-link admission budgets (docs/OVERLOAD.md).
+  AFS_ASSIGN_OR_RETURN(
+      OverloadPolicy overload,
+      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kShed));
   res->rendezvous.set_response_timeout(OpTimeout(request));
-  {
-    // Per-link admission (docs/OVERLOAD.md): ops charge the gate before
-    // touching the rendezvous slot; saturation sheds with kOverloaded.
-    AFS_ASSIGN_OR_RETURN(OverloadPolicy policy,
-                         SpecOverloadPolicy(request, OverloadPolicy::kShed));
-    const AdmissionGate::Limits admit =
-        AdmissionLimitsFromSpec(request.spec.config);
-    if (AdmissionConfigured(admit)) {
-      res->rendezvous.set_admission(admit, policy);
-    }
-  }
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
     // In-process lease: the sentinel thread stamps shared memory from
     // inside its waits — no frames involved.
@@ -652,21 +684,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenThread(
     res->rendezvous.Shutdown();
     if (res->worker.joinable()) res->worker.join();
   };
-  auto handle = std::make_unique<LinkHandle>(&res->rendezvous, res, cleanup,
-                                             request.cache_channel);
-
-  // Open banner: OnOpen's status decides whether the open succeeds.
-  Result<ControlResponse> banner = res->rendezvous.AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (request.cache_channel != nullptr) {
-    // The banner carries the sentinel's open-time grant, so a caching
-    // client holds its lease before the first data op.
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return FinishLinkOpen(request, overload, &res->rendezvous, res, cleanup);
 }
 
 // Event-loop strategy: the sentinel is neither a process nor a dedicated
@@ -696,37 +714,24 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenLoop(
   }
 
   // Admission (docs/OVERLOAD.md): every command charges the shard's gate
-  // (shared with its co-tenants) and, when the spec bounds this link, a
-  // per-link gate on top.
-  AFS_ASSIGN_OR_RETURN(OverloadPolicy overload,
-                       SpecOverloadPolicy(request, OverloadPolicy::kShed));
+  // (shared with its co-tenants) and, when the spec bounds this link, the
+  // stub's per-link gate on top; one policy shapes both.
+  AFS_ASSIGN_OR_RETURN(
+      OverloadPolicy overload,
+      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kShed));
 
   AFS_ASSIGN_OR_RETURN(
       std::shared_ptr<LoopSession> session,
       LoopHost::Global().Open(std::move(sent), std::move(ctx),
                               std::move(cache), shard_pin, OpTimeout(request),
-                              request.heartbeat_interval, lease,
-                              AdmissionLimitsFromSpec(request.spec.config),
-                              overload));
+                              request.heartbeat_interval, lease, overload));
   if (probe != nullptr) {
     probe->lease = std::move(lease);
     probe->force_down = [session] { session->ForceDown(); };
   }
 
   auto cleanup = [session]() { session->Shutdown(); };
-  auto handle = std::make_unique<LinkHandle>(session.get(), session, cleanup,
-                                             request.cache_channel);
-
-  // Open banner: OnOpen's status decides whether the open succeeds.
-  Result<ControlResponse> banner = session->AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (request.cache_channel != nullptr) {
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return FinishLinkOpen(request, overload, session.get(), session, cleanup);
 }
 
 // The "exec" config key switches the process strategies to the paper's
@@ -754,13 +759,11 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
   // Overload handling (docs/OVERLOAD.md): the ring lane defaults to
   // brownout (a congested ring reroutes bulk bytes onto the pipes); the
   // spec's `overload` key switches the whole link to shed or block, and
-  // admit_* keys add per-link admission budgets.
-  AFS_ASSIGN_OR_RETURN(OverloadPolicy overload,
-                       SpecOverloadPolicy(request, OverloadPolicy::kBrownout));
+  // the same policy shapes the stub's per-link admission budgets.
+  AFS_ASSIGN_OR_RETURN(
+      OverloadPolicy overload,
+      OverloadPolicyFromSpec(request.spec.config, OverloadPolicy::kBrownout));
   res->link->set_overload(overload);
-  const AdmissionGate::Limits admit =
-      AdmissionLimitsFromSpec(request.spec.config);
-  if (AdmissionConfigured(admit)) res->link->set_admission(admit, overload);
 
   std::shared_ptr<Lease> lease;
   if (probe != nullptr && request.heartbeat_interval.count() > 0) {
@@ -862,18 +865,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcessControl(
     res->link->Shutdown();
     (void)res->child->Shutdown();
   };
-  auto handle = std::make_unique<LinkHandle>(res->link.get(), res, cleanup,
-                                             request.cache_channel);
-
-  Result<ControlResponse> banner = res->link->AF_GetResponse();
-  if (!banner.ok() || !banner->status.ok()) {
-    handle->Abort();
-    return banner.ok() ? banner->status : banner.status();
-  }
-  if (request.cache_channel != nullptr) {
-    request.cache_channel->Observe(*banner);
-  }
-  return std::unique_ptr<vfs::FileHandle>(std::move(handle));
+  return FinishLinkOpen(request, overload, res->link.get(), res, cleanup);
 }
 
 // Fills the probe for a freshly spawned stream/exec sentinel child.  No

@@ -8,7 +8,9 @@
 //
 // Implementations: core::PipeLink/PipeEndpoint (three real pipes, the
 // process-plus-control strategy) and core::ThreadRendezvous (events +
-// shared memory, the DLL-with-thread strategy).
+// shared memory: the DLL-with-thread strategy, and the mailbox each
+// core::LoopSession wraps as its link).  Links carry commands only;
+// admission budgets bracket each round trip in the application stub.
 #pragma once
 
 #include "common/bytes.hpp"

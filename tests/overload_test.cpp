@@ -1,8 +1,8 @@
 // Overload-protection lane (docs/OVERLOAD.md): bounded admission, typed
 // shed with retry-after hints, and graceful brownout across the stack —
 // the AdmissionGate in isolation, the admit_* spec keys on real
-// strategies, the loop host's shard budgets under 2x saturation, and the
-// HTTP server's 503 + Retry-After shed path.
+// strategies, the loop host's shard budgets under 2x saturation and its
+// run-queue backstop, and the HTTP server's 503 + Retry-After shed path.
 //
 // Ordering note: the shard-budget saturation fixture is defined FIRST in
 // this file because it must set AFS_LOOP_MAX_QUEUE_BYTES before anything
@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "afs.hpp"
+#include "common/faultpoint.hpp"
+#include "core/loop_host.hpp"
 #include "core/overload.hpp"
 #include "net/http_server.hpp"
 #include "test_util.hpp"
@@ -197,6 +199,81 @@ TEST(AdmitWithPolicyTest, PoliciesShapeTheWait) {
   gate.Release(8);
 }
 
+// ---- the loop shard's run-queue backstop -----------------------------------
+
+// Opens one null-sentinel session on `host`'s shard 0 and collects its
+// banner.
+std::shared_ptr<core::LoopSession> OpenNullSession(core::LoopHost& host) {
+  SentinelSpec spec;
+  spec.name = "null";
+  auto sent = sentinel::SentinelRegistry::Global().Create(spec);
+  EXPECT_OK(sent.status());
+  if (!sent.ok()) return nullptr;
+  core::CacheAssembly cache;
+  cache.mode = core::CacheMode::kMemory;
+  cache.store = std::make_unique<sentinel::MemoryDataStore>(
+      Buffer{'a', 'b', 'c', 'd'});
+  auto session = host.Open(std::move(*sent), sentinel::SentinelContext{},
+                           std::move(cache), /*shard_pin=*/0,
+                           /*response_timeout=*/Micros{5'000'000},
+                           /*heartbeat_interval=*/Micros{0}, nullptr);
+  EXPECT_OK(session.status());
+  if (!session.ok()) return nullptr;
+  auto banner = (*session)->AF_GetResponse();
+  EXPECT_OK(banner.status());
+  if (!banner.ok()) return nullptr;
+  EXPECT_OK(banner->status);
+  return *session;
+}
+
+sentinel::ControlMessage SizeCommand() {
+  sentinel::ControlMessage message;
+  message.op = sentinel::ControlOp::kGetSize;
+  return message;
+}
+
+TEST(LoopQueueLimitTest, FullRunQueueShedsAndTheSessionServesItsNextOp) {
+  // A private host: the global one reads AFS_LOOP_QUEUE_LIMIT only once.
+  // One shard whose run queue holds a single posted task.
+  core::LoopHost host(1, core::EventLoop::Options{.queue_limit = 1});
+  sentinels::RegisterBuiltinSentinels();
+  auto busy = OpenNullSession(host);
+  auto queued = OpenNullSession(host);
+  auto shed = OpenNullSession(host);
+  ASSERT_TRUE(busy && queued && shed);
+  obs::Gauge& queue_bytes =
+      obs::Registry::Global().GetGauge("core.overload.queue_bytes");
+
+  // Hold the shard inside the first command (a delay, never a crash) ...
+  auto plan = fault::ParsePlan("seed=1;core.loop.crash=delay:300ms@n1");
+  ASSERT_OK(plan.status());
+  fault::ScopedFaultPlan scoped(std::move(*plan));
+  ASSERT_OK(busy->AF_SendControl(SizeCommand()));
+  ASSERT_TRUE(test::PollUntil([] { return fault::TriggeredCount() >= 1; }));
+  // ... so the second command fills the run queue and the third finds it
+  // full: a typed shed with a retry hint, before anything was posted.
+  ASSERT_OK(queued->AF_SendControl(SizeCommand()));
+  const Status full = shed->AF_SendControl(SizeCommand());
+  EXPECT_STATUS_CODE(full, ErrorCode::kOverloaded);
+  EXPECT_GE(RetryAfterHintMs(full), 1) << full.ToString();
+
+  for (auto* session : {busy.get(), queued.get()}) {
+    auto answer = session->AF_GetResponse();
+    ASSERT_OK(answer.status());
+    EXPECT_EQ(answer->number, 4u);
+  }
+  // The shed undid its slot claim: the same session serves its next op.
+  ASSERT_OK(shed->AF_SendControl(SizeCommand()));
+  auto answer = shed->AF_GetResponse();
+  ASSERT_OK(answer.status());
+  EXPECT_EQ(answer->number, 4u);
+  // Every charge, the shed one included, went back to the shard gate.
+  EXPECT_EQ(queue_bytes.Value(), 0);
+  for (auto* session : {busy.get(), queued.get(), shed.get()}) {
+    session->Shutdown();
+  }
+}
+
 // ---- spec plumbing ---------------------------------------------------------
 
 TEST(OverloadSpecTest, PolicyNamesRoundTrip) {
@@ -320,6 +397,57 @@ TEST(StrategyAdmissionTest, BlockPolicyRidesOutTheBudgetInsteadOfShedding) {
   ASSERT_OK(api.ReadFile(*handle, MutableByteSpan(out)).status());
   EXPECT_OK(api.ReadFile(*handle, MutableByteSpan(out)).status());
   ASSERT_OK(api.CloseHandle(*handle));
+}
+
+// The per-link budget brackets each round trip in the stub, so an op that
+// times out (and poisons its handle) still gives its charge back: with
+// admit_inflight=1 a leaked charge would pin the gauge above zero.
+void RunPoisonedOpUnderLinkBudget(const char* strategy) {
+  TempDir tmp;
+  vfs::FileApi api(tmp.path() + "/root");
+  sentinels::RegisterBuiltinSentinels();
+  core::ActiveFileManager manager(api, sentinel::SentinelRegistry::Global());
+  manager.Install();
+
+  // Installed before the open so a forked sentinel inherits it.
+  auto plan = fault::ParsePlan("seed=7;sentinel.dispatch.op=delay:400ms@n1");
+  ASSERT_OK(plan.status());
+  fault::ScopedFaultPlan scoped(std::move(*plan));
+
+  SentinelSpec spec;
+  spec.name = "null";
+  spec.config["strategy"] = strategy;
+  spec.config["admit_inflight"] = "1";
+  spec.config["op_timeout_ms"] = "50";
+  const std::string name = std::string(strategy) + "-poisoned.af";
+  ASSERT_OK(manager.CreateActiveFile(name, spec, AsBytes("0123456789abcdef")));
+  auto handle = api.OpenFile(name, vfs::OpenMode::kReadWrite);
+  ASSERT_OK(handle.status());
+
+  // A size query carries no buffer: the stalled sentinel answers after
+  // the op has timed out, and must have nothing of the caller's to fill.
+  EXPECT_STATUS_CODE(api.GetFileSize(*handle).status(), ErrorCode::kTimeout);
+  EXPECT_STATUS_CODE(api.GetFileSize(*handle).status(), ErrorCode::kClosed);
+  (void)api.CloseHandle(*handle);
+  EXPECT_EQ(api.open_handle_count(), 0u);
+  // A loop shard's own charge returns when the stalled command is finally
+  // answered on the shard, so the gauge settles rather than reads 0 at once.
+  obs::Gauge& queue_bytes =
+      obs::Registry::Global().GetGauge("core.overload.queue_bytes");
+  EXPECT_TRUE(test::PollUntil([&] { return queue_bytes.Value() == 0; }))
+      << queue_bytes.Value();
+}
+
+TEST(LinkBudgetBracketTest, ThreadPoisonedOpReturnsItsCharge) {
+  RunPoisonedOpUnderLinkBudget("thread");
+}
+
+TEST(LinkBudgetBracketTest, LoopPoisonedOpReturnsItsCharge) {
+  RunPoisonedOpUnderLinkBudget("loop");
+}
+
+TEST(LinkBudgetBracketTest, ProcessControlPoisonedOpReturnsItsCharge) {
+  RunPoisonedOpUnderLinkBudget("process_control");
 }
 
 // ---- HTTP: 503 + Retry-After ----------------------------------------------
