@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "common/faultpoint.hpp"
 #include "core/cache.hpp"
@@ -42,6 +43,28 @@ std::size_t OutboundPayloadSize(const ControlMessage& message) {
     return total;
   }
   return 0;
+}
+
+// The command as the sentinel side of an in-process slot sees it: every
+// field a wire frame carries, none of the caller's spans.
+ControlMessage WithoutSpans(const ControlMessage& message) {
+  ControlMessage owned = message;
+  owned.inline_in = {};
+  owned.inline_out = {};
+  owned.vec_in.clear();
+  owned.vec_out.clear();
+  return owned;
+}
+
+// A write's bytes (kWriteVec: its segments, concatenated) in one buffer.
+Buffer GatherWriteBytes(const ControlMessage& message) {
+  Buffer data;
+  data.reserve(OutboundPayloadSize(message));
+  data.insert(data.end(), message.inline_in.begin(), message.inline_in.end());
+  for (ByteSpan segment : message.vec_in) {
+    data.insert(data.end(), segment.begin(), segment.end());
+  }
+  return data;
 }
 
 // Retry hint for an op shed off a congested shm ring: the reader has a
@@ -201,6 +224,14 @@ Status PipeLink::AdoptResponse(ControlResponse& response) {
 Result<ControlResponse> PipeLink::AF_GetResponse() {
   AFS_FAULT_POINT("core.link.recv");
   MutexLock lock(read_mu_);
+  Result<ControlResponse> response = AwaitResponse();
+  // Answered, timed out or failed, the op is done with its spans: an
+  // answer that PollHeartbeats drains from here on goes to its payload.
+  scatter_.clear();
+  return response;
+}
+
+Result<ControlResponse> PipeLink::AwaitResponse() {
   if (pending_.has_value()) {
     // The heartbeat drain raced a real response off the pipe; hand it over.
     ControlResponse stashed = std::move(*pending_);
@@ -332,7 +363,7 @@ Result<Buffer> PipeEndpoint::AF_GetDataFromAppl(std::size_t length) {
   return data;
 }
 
-Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
+Status PipeEndpoint::AF_SendResponse(ControlResponse response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
   // Bulk response payloads ride the ring (frame carries only their length);
   // the application created the ring, so it can always drain the lane.
@@ -361,6 +392,10 @@ Status PipeEndpoint::AF_SendResponse(const ControlResponse& response) {
 
 Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
   AFS_FAULT_POINT("core.link.send");
+  // The slot takes its own copy of the op, so nothing the sentinel side
+  // holds points into the caller's memory once this returns.
+  ControlMessage owned = WithoutSpans(message);
+  Buffer data = GatherWriteBytes(message);
   MutexLock lock(mu_);
   while (state_ != SlotState::kIdle && !shutdown_) {
     // The sentinel side frees the slot per command, and Shutdown() wakes
@@ -369,7 +404,8 @@ Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
     cv_.Wait(mu_);
   }
   if (shutdown_) return ClosedError("rendezvous closed");
-  message_ = message;  // inline lanes pass by reference (spans)
+  message_ = std::move(owned);
+  data_ = std::move(data);
   state_ = SlotState::kCommand;
   lock.Unlock();
   cv_.NotifyAll();
@@ -428,7 +464,7 @@ Result<ControlMessage> ThreadRendezvous::AF_GetControl() {
   if (lease_) lease_->Renew();
   // The slot stays occupied (kCommand) while the sentinel works; the
   // response transition frees it.
-  return message_;
+  return std::move(message_);
 }
 
 Result<ControlMessage> ThreadRendezvous::TryGetControl() {
@@ -436,7 +472,7 @@ Result<ControlMessage> ThreadRendezvous::TryGetControl() {
   if (shutdown_ || state_ != SlotState::kCommand) {
     return ClosedError("rendezvous closed");
   }
-  return message_;
+  return std::move(message_);
 }
 
 void ThreadRendezvous::WithdrawCommand() {
@@ -448,18 +484,20 @@ void ThreadRendezvous::WithdrawCommand() {
 }
 
 Result<Buffer> ThreadRendezvous::AF_GetDataFromAppl(std::size_t length) {
-  // In-process writes always travel the inline lane; only a zero-length
-  // write could get here, and that needs no bytes.
-  if (length == 0) return Buffer{};
-  return InternalError("thread rendezvous has no out-of-line data lane");
+  AFS_FAULT_POINT("sentinel.endpoint.data");
+  MutexLock lock(mu_);
+  if (data_.size() != length) {
+    return ProtocolError("write lane does not hold the announced bytes");
+  }
+  return std::exchange(data_, Buffer{});
 }
 
-Status ThreadRendezvous::AF_SendResponse(const ControlResponse& response) {
+Status ThreadRendezvous::AF_SendResponse(ControlResponse response) {
   AFS_FAULT_POINT("sentinel.endpoint.send");
   MutexLock lock(mu_);
   if (shutdown_) return ClosedError("rendezvous closed");
   if (lease_) lease_->Renew();
-  response_ = response;
+  response_ = std::move(response);
   state_ = SlotState::kResponse;
   lock.Unlock();
   cv_.NotifyAll();

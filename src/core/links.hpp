@@ -9,8 +9,9 @@
 //     a condition variable ("events and shared memory", Appendix A.3).  It
 //     is the DLL-with-thread strategy's link, and the loop strategy's
 //     mailbox (core/loop_host.hpp), where a shard task stands in for the
-//     sentinel thread.  Data moves through the inline lanes of
-//     ControlMessage, giving one user-level copy per transfer.
+//     sentinel thread.  Like the paper's shared buffer, the slot owns the
+//     bytes of the op in flight: one user-level copy per transfer, and a
+//     late answer can never reach the caller's memory.
 //
 // Neither link admits ops: per-link admission budgets (admit_* spec keys)
 // bracket each round trip in the strategy stub (core/strategies.cpp), so
@@ -129,6 +130,9 @@ class PipeLink final : public sentinel::SentinelLink {
   Status AdoptResponse(sentinel::ControlResponse& response)
       AFS_REQUIRES(read_mu_);
 
+  // AF_GetResponse's wait, without dropping the op's stashed spans.
+  Result<sentinel::ControlResponse> AwaitResponse() AFS_REQUIRES(read_mu_);
+
   // afs-lint: allow(guarded-member: fd table fixed at construction; read_mu_ serializes response readers)
   PipeLinkFds fds_;
   // afs-lint: allow(guarded-member: configured before the link is shared)
@@ -154,7 +158,9 @@ class PipeLink final : public sentinel::SentinelLink {
   std::optional<sentinel::ControlResponse> pending_ AFS_GUARDED_BY(read_mu_);
   // Destination spans of the op in flight (inline_out / vec_out), stashed
   // at send so a shm-lane response scatters ring bytes straight into the
-  // caller's buffers — the zero-extra-copy read path.
+  // caller's buffers — the zero-extra-copy read path.  AF_GetResponse
+  // drops them on every exit, so an answer drained after the op gave up
+  // waiting lands in response.payload, never in the caller's buffers.
   std::vector<MutableByteSpan> scatter_ AFS_GUARDED_BY(read_mu_);
 };
 
@@ -165,7 +171,7 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
   Result<sentinel::ControlMessage> AF_GetControl() AFS_NONBLOCKING override;
   Result<Buffer> AF_GetDataFromAppl(std::size_t length)
       AFS_NONBLOCKING override;
-  Status AF_SendResponse(const sentinel::ControlResponse& response)
+  Status AF_SendResponse(sentinel::ControlResponse response)
       AFS_NONBLOCKING override;
 
   // When positive, an idle AF_GetControl emits a heartbeat response every
@@ -213,11 +219,13 @@ class PipeEndpoint final : public sentinel::SentinelEndpoint {
 
 // Both halves of an in-process connection in one object: the command
 // slot.  The application stub and the sentinel side rendezvous on a single
-// in-flight command (kIdle -> kCommand -> kResponse -> kIdle);
-// ControlMessage's inline lanes pass application buffers to the sentinel
-// by reference.  The sentinel side is a dedicated thread parked in
-// AF_GetControl (thread strategy) or a shard task that takes the parked
-// command with TryGetControl (loop strategy).
+// in-flight command (kIdle -> kCommand -> kResponse -> kIdle).  The slot
+// owns the op's bytes: AF_SendControl copies a write's bytes into the
+// slot's data lane (AF_GetDataFromAppl), read data comes back in the
+// response payload, and the command the sentinel takes carries no span
+// into application memory.  The sentinel side is a dedicated thread
+// parked in AF_GetControl (thread strategy) or a shard task that takes the
+// parked command with TryGetControl (loop strategy).
 class ThreadRendezvous final : public sentinel::SentinelLink,
                                public sentinel::SentinelEndpoint {
  public:
@@ -233,7 +241,7 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   Result<sentinel::ControlMessage> AF_GetControl() AFS_NONBLOCKING override;
   Result<Buffer> AF_GetDataFromAppl(std::size_t length)
       AFS_NONBLOCKING override;
-  Status AF_SendResponse(const sentinel::ControlResponse& response)
+  Status AF_SendResponse(sentinel::ControlResponse response)
       AFS_NONBLOCKING override;
 
   // Non-blocking AF_GetControl: the parked command, or kClosed when no
@@ -271,7 +279,9 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
   std::shared_ptr<Lease> lease_ AFS_GUARDED_BY(mu_);
   Micros lease_interval_ AFS_GUARDED_BY(mu_){0};
+  // The command in flight, stripped of its spans, and its write bytes.
   sentinel::ControlMessage message_ AFS_GUARDED_BY(mu_);
+  Buffer data_ AFS_GUARDED_BY(mu_);
   sentinel::ControlResponse response_ AFS_GUARDED_BY(mu_);
 };
 

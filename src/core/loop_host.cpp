@@ -165,11 +165,10 @@ void LoopSession::ServiceOpen() {
   } else {
     ArmHeartbeat();
   }
-  Deliver(banner, /*closing=*/!opened_);
+  Deliver(std::move(banner), /*closing=*/!opened_);
 }
 
 void LoopSession::Service() {
-  // Spans still reference the parked application's buffers.
   Result<ControlMessage> msg = slot_.TryGetControl();
   if (!msg.ok()) {
     ReleaseAdmission();  // raced ForceDown: the op will never be served
@@ -186,7 +185,7 @@ void LoopSession::Service() {
   }
 
   sentinel::OpOutcome out =
-      sentinel::PerformControlOp(*sentinel_, ctx_, *msg, nullptr);
+      sentinel::PerformControlOp(*sentinel_, ctx_, *msg, slot_);
   if (lease_) lease_->Renew();
   switch (out.verdict) {
     case sentinel::OpVerdict::kCrashed:
@@ -202,11 +201,11 @@ void LoopSession::Service() {
       released_ = true;
       sentinel_.reset();
       cache_ = CacheAssembly{};
-      Deliver(out.response, /*closing=*/true);
+      Deliver(std::move(out.response), /*closing=*/true);
       return;
     }
     case sentinel::OpVerdict::kRespond:
-      Deliver(out.response, /*closing=*/false);
+      Deliver(std::move(out.response), /*closing=*/false);
       return;
   }
 }
@@ -242,12 +241,12 @@ void LoopSession::ArmHeartbeat() {
                   [self = shared_from_this()] { self->HeartbeatTick(); });
 }
 
-void LoopSession::Deliver(const ControlResponse& response, bool closing) {
+void LoopSession::Deliver(ControlResponse response, bool closing) {
   // The answered op leaves the shard's admission domain here, not at
   // collection: the shard is free again even if the application is slow
   // to wake.
   ReleaseAdmission();
-  const bool answered = slot_.AF_SendResponse(response).ok();
+  const bool answered = slot_.AF_SendResponse(std::move(response)).ok();
   if (answered && !closing) return;
   // Closing, or the slot refused the answer (ForceDown/Shutdown shut it
   // first, or an injected fault): latch it shut, and end the session here

@@ -8,9 +8,9 @@
 // shard (core/event_loop.hpp), whose loop thread takes it, services it
 // through sentinel::PerformControlOp and answers into the slot.
 // The shard's run queue is the data plane: one eventfd doorbell per shard,
-// batched drains, and the inline ControlMessage lanes carrying payloads by
-// reference — which is how ≥100k concurrent handles fit under an ordinary
-// RLIMIT_NOFILE (see docs/EVENT_LOOP.md).
+// batched drains, and the slot holding each op's bytes in process — which
+// is how ≥100k concurrent handles fit under an ordinary RLIMIT_NOFILE (see
+// docs/EVENT_LOOP.md).
 //
 // Supervision: the session's lease is renewed by a shard timer while the
 // shard is responsive and around every serviced command, so a wedged loop
@@ -94,7 +94,7 @@ class LoopSession final : public sentinel::SentinelLink,
   // Answers into the slot; `closing` then latches it shut (a posted
   // response still outranks the latch, so the close acknowledgement is
   // never dropped).
-  void Deliver(const sentinel::ControlResponse& response, bool closing);
+  void Deliver(sentinel::ControlResponse response, bool closing);
 
   EventLoop& shard_;
   // Shared with every co-tenant session on the shard (docs/OVERLOAD.md),

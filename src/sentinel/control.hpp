@@ -95,18 +95,15 @@ struct ControlMessage {
   // from uncached clients.
   std::uint8_t cache_flags = 0;
 
-  // Zero-copy lanes used only by in-process endpoints (thread/direct):
-  // the application's own buffers, never serialized.  When inline_out is
-  // non-empty, read data is placed directly in it and the response payload
-  // stays empty — the "user-mode memcpy" fast path of the paper's
-  // footnote 2.
+  // The application's own buffers: the link's input, never serialized and
+  // never handed to a sentinel.  A link gathers a kWrite's bytes from
+  // inline_in (kWriteVec: the vec_in segments, concatenated) onto its write
+  // lane.  Read data comes back in the response payload; only a pipe link
+  // scatters shm-lane bytes straight into inline_out/vec_out, and only
+  // while the op is still awaiting its answer.  For vectored ops the wire
+  // carries the segment table in `payload`.
   ByteSpan inline_in{};
   MutableByteSpan inline_out{};
-
-  // Vectored lanes (kReadVec/kWriteVec).  In-process endpoints consume
-  // them directly; pipe links consult vec_in to feed the write lane and
-  // vec_out to scatter the response.  Never serialized — the wire carries
-  // the segment table in `payload` instead.
   std::vector<ByteSpan> vec_in;
   std::vector<MutableByteSpan> vec_out;
 };
@@ -149,7 +146,7 @@ struct ControlResponse {
   std::uint32_t cache_epoch = 0;
 };
 
-// Wire codecs (inline and vectored lanes are intentionally not carried).
+// Wire codecs (the span fields are intentionally not carried).
 Buffer EncodeControlMessage(const ControlMessage& message);
 // Link-side variant: stamps `lane` without copying the message.
 Buffer EncodeControlMessage(const ControlMessage& message, std::uint8_t lane);

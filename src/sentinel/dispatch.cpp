@@ -1,7 +1,5 @@
 #include "sentinel/dispatch.hpp"
 
-#include <algorithm>
-
 #include "common/faultpoint.hpp"
 #include "obs/trace.hpp"
 
@@ -36,8 +34,7 @@ const char* OpSpanName(ControlOp op) {
 }
 
 // Decodes the segment table a vectored op carries as its wire payload:
-// u32 count, then count u32 lengths.  Empty for in-process callers (their
-// segments arrive in vec_in/vec_out instead).
+// u32 count, then count u32 lengths.
 Result<std::vector<std::uint32_t>> DecodeVecTable(ByteSpan payload) {
   constexpr std::uint32_t kMaxSegments = 4096;
   ByteReader reader(payload);
@@ -72,9 +69,9 @@ void StampCacheGrant(const CacheGrant& grant, ControlResponse& response) {
   response.cache_epoch = grant.epoch;
 }
 
-OpOutcome PerformControlOp(
-    Sentinel& sentinel, SentinelContext& ctx, ControlMessage& msg,
-    const std::function<Result<Buffer>(std::size_t)>& fetch_data) {
+OpOutcome PerformControlOp(Sentinel& sentinel, SentinelContext& ctx,
+                           const ControlMessage& msg,
+                           SentinelEndpoint& endpoint) {
   OpOutcome out;
 
   // Recall handshake: the client set kCacheRecallAck after dropping its
@@ -101,46 +98,32 @@ OpOutcome PerformControlOp(
     if (Status injected = fault::Hit("sentinel.dispatch.op");
         !injected.ok() && msg.op != ControlOp::kClose) {
       if ((msg.op == ControlOp::kWrite || msg.op == ControlOp::kWriteVec) &&
-          msg.inline_in.empty() && msg.vec_in.empty() && msg.length > 0 &&
-          fetch_data) {
-        // The payload is already in flight on the data pipe; drain it or
-        // the next write's control frame pairs with this write's bytes.
+          msg.length > 0) {
+        // The payload is already on the data lane; drain it or the next
+        // write's command pairs with this write's bytes.
         // afs-lint: allow(status-discard: drain-only; the injected fault is the response)
-        (void)fetch_data(msg.length);
+        (void)endpoint.AF_GetDataFromAppl(msg.length);
       }
       out.response = MakeResponse(std::move(injected));
     } else {
       switch (msg.op) {
         case ControlOp::kRead: {
-          Buffer tmp;
-          MutableByteSpan dst = msg.inline_out;
-          if (dst.size() > msg.length) dst = dst.first(msg.length);
-          if (dst.empty() && msg.length > 0) {
-            tmp.resize(msg.length);
-            dst = MutableByteSpan(tmp);
-          }
-          Result<std::size_t> got = sentinel.OnRead(ctx, dst);
+          Buffer data(msg.length);
+          Result<std::size_t> got =
+              sentinel.OnRead(ctx, MutableByteSpan(data));
           if (!got.ok()) {
             out.response = MakeResponse(got.status());
             break;
           }
           ctx.position += *got;
-          Buffer payload;
-          if (!tmp.empty()) {
-            tmp.resize(*got);
-            payload = std::move(tmp);
-          }
-          out.response = MakeResponse(Status::Ok(), *got, std::move(payload));
+          data.resize(*got);
+          out.response = MakeResponse(Status::Ok(), *got, std::move(data));
           break;
         }
         case ControlOp::kWrite: {
-          ByteSpan in = msg.inline_in;
-          Buffer tmp;
-          if (in.empty() && msg.length > 0) {
-            Result<Buffer> fetched =
-                fetch_data ? fetch_data(msg.length)
-                           : Result<Buffer>(InternalError(
-                                 "no out-of-line data lane on this host"));
+          Buffer data;
+          if (msg.length > 0) {
+            Result<Buffer> fetched = endpoint.AF_GetDataFromAppl(msg.length);
             if (!fetched.ok()) {
               // Data lane broken mid-write; no response can pair with the
               // consumed command, so the channel is unusable.
@@ -149,10 +132,9 @@ OpOutcome PerformControlOp(
               out.verdict = OpVerdict::kChannelBroken;
               break;
             }
-            tmp = std::move(*fetched);
-            in = ByteSpan(tmp);
+            data = std::move(*fetched);
           }
-          Result<std::size_t> wrote = sentinel.OnWrite(ctx, in);
+          Result<std::size_t> wrote = sentinel.OnWrite(ctx, ByteSpan(data));
           if (!wrote.ok()) {
             out.response = MakeResponse(wrote.status());
             break;
@@ -197,114 +179,88 @@ OpOutcome PerformControlOp(
           break;
         }
         case ControlOp::kReadVec: {
-          // One crossing for a whole scatter list.  In-process callers hand
-          // their destination spans in vec_out; wire callers send a segment
-          // table and the bytes travel back concatenated in the payload.
-          std::vector<MutableByteSpan> spans = msg.vec_out;
-          Buffer tmp;
-          if (spans.empty()) {
-            Result<std::vector<std::uint32_t>> lens =
-                DecodeVecTable(ByteSpan(msg.payload));
-            if (!lens.ok()) {
-              out.response = MakeResponse(lens.status());
-              break;
-            }
-            std::size_t total = 0;
-            for (std::uint32_t len : lens.value()) total += len;
-            tmp.resize(total);
-            std::size_t at = 0;
-            for (std::uint32_t len : lens.value()) {
-              spans.push_back(MutableByteSpan(tmp).subspan(at, len));
-              at += len;
-            }
+          // One crossing for a whole scatter list: the segment table
+          // arrives in the payload and the bytes travel back concatenated.
+          Result<std::vector<std::uint32_t>> lens =
+              DecodeVecTable(ByteSpan(msg.payload));
+          if (!lens.ok()) {
+            out.response = MakeResponse(lens.status());
+            break;
           }
-          std::uint64_t total_read = 0;
+          std::size_t total = 0;
+          for (std::uint32_t len : lens.value()) total += len;
+          Buffer data(total);
+          std::size_t at = 0;
           Status status = Status::Ok();
-          for (MutableByteSpan dst : spans) {
-            if (dst.empty()) continue;
-            Result<std::size_t> got = sentinel.OnRead(ctx, dst);
+          for (std::uint32_t len : lens.value()) {
+            if (len == 0) continue;
+            Result<std::size_t> got =
+                sentinel.OnRead(ctx, MutableByteSpan(data).subspan(at, len));
             if (!got.ok()) {
               status = got.status();
               break;
             }
             ctx.position += *got;
-            total_read += *got;
-            if (*got < dst.size()) break;  // short read: end of data
+            at += *got;
+            if (*got < len) break;  // short read: end of data
           }
           if (!status.ok()) {
             out.response = MakeResponse(status);
             break;
           }
-          Buffer payload;
-          if (!tmp.empty()) {
-            tmp.resize(static_cast<std::size_t>(total_read));
-            payload = std::move(tmp);
-          }
-          out.response =
-              MakeResponse(Status::Ok(), total_read, std::move(payload));
+          data.resize(at);
+          out.response = MakeResponse(Status::Ok(), at, std::move(data));
           break;
         }
         case ControlOp::kWriteVec: {
-          // Gather list: in-process callers hand source spans in vec_in;
-          // wire callers send the table plus one concatenated fetch off the
-          // data lane, sliced back into segments here.
-          std::vector<ByteSpan> spans = msg.vec_in;
-          Buffer tmp;
-          if (spans.empty()) {
-            Result<std::vector<std::uint32_t>> lens =
-                DecodeVecTable(ByteSpan(msg.payload));
-            std::size_t total = 0;
-            if (lens.ok()) {
-              for (std::uint32_t len : lens.value()) total += len;
+          // Gather list: the table plus one concatenated fetch off the data
+          // lane, sliced back into segments here.
+          Result<std::vector<std::uint32_t>> lens =
+              DecodeVecTable(ByteSpan(msg.payload));
+          std::size_t total = 0;
+          if (lens.ok()) {
+            for (std::uint32_t len : lens.value()) total += len;
+          }
+          if (!lens.ok() || total != msg.length) {
+            // The concatenated bytes are already in flight; drain them so
+            // the data lane stays paired before failing the command.
+            if (msg.length > 0) {
+              // afs-lint: allow(status-discard: drain-only; the table error is the response)
+              (void)endpoint.AF_GetDataFromAppl(msg.length);
             }
-            if (!lens.ok() || total != msg.length) {
-              // The concatenated bytes are already in flight; drain them so
-              // the data lane stays paired before failing the command.
-              if (msg.length > 0 && fetch_data) {
-                // afs-lint: allow(status-discard: drain-only; the table error is the response)
-                (void)fetch_data(msg.length);
-              }
-              out.response = MakeResponse(
-                  lens.ok() ? ProtocolError(
-                                  "vectored segment table/length mismatch")
-                            : lens.status());
+            out.response = MakeResponse(
+                lens.ok()
+                    ? ProtocolError("vectored segment table/length mismatch")
+                    : lens.status());
+            break;
+          }
+          Buffer data;
+          if (msg.length > 0) {
+            Result<Buffer> fetched = endpoint.AF_GetDataFromAppl(msg.length);
+            if (!fetched.ok()) {
+              // afs-lint: allow(status-discard: channel already broken; winding down)
+              (void)sentinel.OnClose(ctx);
+              out.verdict = OpVerdict::kChannelBroken;
               break;
             }
-            if (msg.length > 0) {
-              Result<Buffer> fetched =
-                  fetch_data ? fetch_data(msg.length)
-                             : Result<Buffer>(InternalError(
-                                   "no out-of-line data lane on this host"));
-              if (!fetched.ok()) {
-                // afs-lint: allow(status-discard: channel already broken; winding down)
-                (void)sentinel.OnClose(ctx);
-                out.verdict = OpVerdict::kChannelBroken;
-                break;
-              }
-              tmp = std::move(*fetched);
-            }
-            std::size_t at = 0;
-            for (std::uint32_t len : lens.value()) {
-              spans.push_back(ByteSpan(tmp).subspan(at, len));
-              at += len;
-            }
+            data = std::move(*fetched);
           }
-          std::uint64_t total_written = 0;
+          std::size_t at = 0;
           Status status = Status::Ok();
-          for (ByteSpan src : spans) {
-            if (src.empty()) continue;
-            Result<std::size_t> wrote = sentinel.OnWrite(ctx, src);
+          for (std::uint32_t len : lens.value()) {
+            if (len == 0) continue;
+            Result<std::size_t> wrote =
+                sentinel.OnWrite(ctx, ByteSpan(data).subspan(at, len));
             if (!wrote.ok()) {
               status = wrote.status();
               break;
             }
             ctx.position += *wrote;
-            total_written += *wrote;
-            if (*wrote < src.size()) break;  // short write: device full
+            at += *wrote;
+            if (*wrote < len) break;  // short write: device full
           }
-          out.response = status.ok()
-                             ? MakeResponse(Status::Ok(), total_written)
-                             : MakeResponse(status);
+          out.response = status.ok() ? MakeResponse(Status::Ok(), at)
+                                     : MakeResponse(status);
           break;
         }
         case ControlOp::kClose: {
@@ -340,12 +296,8 @@ int RunSentinelLoop(Sentinel& sentinel, SentinelEndpoint& endpoint,
   const Status open_status = sentinel.OnOpen(ctx);
   ControlResponse banner = MakeResponse(open_status);
   StampCacheGrant(ctx, banner);
-  if (!endpoint.AF_SendResponse(banner).ok()) return 1;
+  if (!endpoint.AF_SendResponse(std::move(banner)).ok()) return 1;
   if (!open_status.ok()) return 0;
-
-  const auto fetch = [&endpoint](std::size_t length) {
-    return endpoint.AF_GetDataFromAppl(length);
-  };
 
   while (true) {
     Result<ControlMessage> next = endpoint.AF_GetControl();
@@ -356,7 +308,7 @@ int RunSentinelLoop(Sentinel& sentinel, SentinelEndpoint& endpoint,
       (void)sentinel.OnClose(ctx);
       return next.status().code() == ErrorCode::kClosed ? 0 : 1;
     }
-    OpOutcome out = PerformControlOp(sentinel, ctx, *next, fetch);
+    OpOutcome out = PerformControlOp(sentinel, ctx, *next, endpoint);
     switch (out.verdict) {
       case OpVerdict::kCrashed:
         return 1;
@@ -365,14 +317,14 @@ int RunSentinelLoop(Sentinel& sentinel, SentinelEndpoint& endpoint,
       case OpVerdict::kClosed:
         // Last frame of the session; the peer may already be gone.
         // afs-lint: allow(status-discard: best-effort goodbye after close)
-        (void)endpoint.AF_SendResponse(out.response);
+        (void)endpoint.AF_SendResponse(std::move(out.response));
         return 0;
       case OpVerdict::kRespond:
         // A response that cannot ship (torn frame, closed pipe) leaves the
         // application facing a half-frame it would wait on forever; the
         // channel is unusable from here, so wind down as an implicit close.
         // The application side observes EOF and reports kClosed.
-        if (!endpoint.AF_SendResponse(out.response).ok()) {
+        if (!endpoint.AF_SendResponse(std::move(out.response)).ok()) {
           // afs-lint: allow(status-discard: channel already broken; exiting)
           (void)sentinel.OnClose(ctx);
           return 1;

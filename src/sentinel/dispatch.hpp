@@ -10,8 +10,6 @@
 // set from a shard callback instead of a dedicated thread.
 #pragma once
 
-#include <functional>
-
 #include "sentinel/endpoint.hpp"
 #include "sentinel/sentinel.hpp"
 
@@ -44,12 +42,12 @@ inline void StampCacheGrant(const SentinelContext& ctx,
 
 // Services one control message: span collection, the
 // "sentinel.dispatch.op" / "sentinel.dispatch.close" fault sites, and the
-// op switch against the Sentinel.  Out-of-line write payloads are pulled
-// through `fetch_data` (the pipe endpoint's data lane); hosts whose writes
-// always arrive inline pass nullptr.
-OpOutcome PerformControlOp(
-    Sentinel& sentinel, SentinelContext& ctx, ControlMessage& msg,
-    const std::function<Result<Buffer>(std::size_t)>& fetch_data);
+// op switch against the Sentinel.  Every link hands over the same
+// wire-shaped message: write bytes are pulled from `endpoint`'s data lane
+// (AF_GetDataFromAppl), and read bytes go back in the response payload.
+OpOutcome PerformControlOp(Sentinel& sentinel, SentinelContext& ctx,
+                           const ControlMessage& msg,
+                           SentinelEndpoint& endpoint);
 
 // Runs OnOpen, the command loop, and OnClose.  Returns the process exit
 // code (0 on clean shutdown) so forked children can return it directly.

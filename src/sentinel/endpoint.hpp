@@ -4,7 +4,7 @@
 //   application stub  --AF_SendControl-->   sentinel  (AF_GetControl)
 //   application stub  <--AF_GetResponse--   sentinel  (AF_SendResponse)
 //   write data        --(write lane)---->             (AF_GetDataFromAppl)
-//   read data         <--(response payload or inline_out)--
+//   read data         <--(response payload)--         (AF_SendResponse)
 //
 // Implementations: core::PipeLink/PipeEndpoint (three real pipes, the
 // process-plus-control strategy) and core::ThreadRendezvous (events +
@@ -45,13 +45,16 @@ class SentinelEndpoint {
   // application side has gone away (treated as an implicit close).
   virtual Result<ControlMessage> AF_GetControl() AFS_NONBLOCKING = 0;
 
-  // Retrieves the data bytes accompanying a kWrite whose inline lane is
-  // empty (pipe transport).  Must be called exactly once per such write.
+  // Retrieves the `length` data bytes of the current kWrite/kWriteVec
+  // from the write lane (the data pipe or shared ring; the slot's own
+  // buffer in process).  Must be called exactly once per write with a
+  // nonzero length, before the next AF_GetControl.
   virtual Result<Buffer> AF_GetDataFromAppl(std::size_t length)
       AFS_NONBLOCKING = 0;
 
-  // Completes the current command.
-  virtual Status AF_SendResponse(const ControlResponse& response)
+  // Completes the current command.  Taken by value so an in-process slot
+  // keeps the response (read data included) by move.
+  virtual Status AF_SendResponse(ControlResponse response)
       AFS_NONBLOCKING = 0;
 };
 

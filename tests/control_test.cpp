@@ -1,10 +1,13 @@
 // Control-protocol codec tests plus link/endpoint transports in isolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "core/links.hpp"
 #include "ipc/framing.hpp"
+#include "ipc/shm_ring.hpp"
 #include "sentinel/control.hpp"
 #include "test_util.hpp"
 
@@ -249,31 +252,110 @@ TEST(PipeLinkTest, ShutdownGivesEofToEndpoint) {
   EXPECT_EQ(endpoint.AF_GetControl().status().code(), ErrorCode::kClosed);
 }
 
-TEST(ThreadRendezvousTest, InlineLanesPassUserBuffers) {
+TEST(PipeLinkTest, LateShmAnswerDrainedAfterTimeoutMissesTheCallerBuffer) {
+  // A shm-lane answer that lands after its read timed out is drained by
+  // the heartbeat poll into the response payload, never into the spans of
+  // the abandoned read.
+  auto pair = core::CreatePipePair();
+  ASSERT_OK(pair.status());
+  auto ring = ipc::ShmRing::Create(std::size_t{1} << 20);
+  ASSERT_OK(ring.status());
+  core::PipeLink link(std::move(pair->first));
+  core::PipeEndpoint endpoint(std::move(pair->second));
+  link.set_shm(*ring, 4096);
+  endpoint.set_shm(*ring, 4096);
+  link.set_response_timeout(Micros{50'000});
+
+  // The banner tells the link that the sentinel attached the ring.
+  ASSERT_OK(endpoint.AF_SendResponse(ControlResponse{}));
+  ASSERT_OK(link.AF_GetResponse().status());
+
+  constexpr std::size_t kBytes = 64 * 1024;
+  Buffer caller(kBytes, 'Z');
+  ControlMessage read;
+  read.op = ControlOp::kRead;
+  read.length = kBytes;
+  read.inline_out = MutableByteSpan(caller);
+  ASSERT_OK(link.AF_SendControl(read));
+  EXPECT_STATUS_CODE(link.AF_GetResponse().status(), ErrorCode::kTimeout);
+
+  // The stalled sentinel answers now, its bytes on the ring.
+  ASSERT_OK(endpoint.AF_GetControl().status());
+  ControlResponse late;
+  late.number = kBytes;
+  late.payload.assign(kBytes, 'L');
+  ASSERT_OK(endpoint.AF_SendResponse(std::move(late)));
+  link.PollHeartbeats();
+  EXPECT_EQ(caller, Buffer(kBytes, 'Z'));
+  auto stashed = link.AF_GetResponse();
+  ASSERT_OK(stashed.status());
+  EXPECT_EQ(stashed->payload, Buffer(kBytes, 'L'));
+}
+
+TEST(ThreadRendezvousTest, SlotOwnsTheBytesOfTheOpInFlight) {
+  // The slot, not the caller, owns an op's bytes: the command the sentinel
+  // side takes carries no span into application memory, write bytes come
+  // out of the slot's data lane, and read bytes go back in the payload.
   core::ThreadRendezvous rendezvous;
+  // A failed check on the sentinel side leaves a command unanswered.
+  rendezvous.set_response_timeout(Micros{5'000'000});
 
   std::thread sentinel_side([&] {
+    for (const char* expected : {"hello", "abcde"}) {
+      auto msg = rendezvous.AF_GetControl();
+      ASSERT_OK(msg.status());
+      EXPECT_TRUE(msg->inline_in.empty());
+      EXPECT_TRUE(msg->vec_in.empty());
+      auto data = rendezvous.AF_GetDataFromAppl(5);
+      ASSERT_OK(data.status());
+      EXPECT_EQ(ToString(ByteSpan(*data)), expected);
+      ControlResponse resp;
+      resp.number = 5;
+      ASSERT_OK(rendezvous.AF_SendResponse(resp));
+    }
     auto msg = rendezvous.AF_GetControl();
     ASSERT_OK(msg.status());
     EXPECT_EQ(msg->op, ControlOp::kRead);
-    // Fill the application's buffer directly — the one-copy path.
-    ASSERT_FALSE(msg->inline_out.empty());
-    std::memcpy(msg->inline_out.data(), "direct", 6);
+    EXPECT_TRUE(msg->inline_out.empty());
+    EXPECT_TRUE(msg->vec_out.empty());
     ControlResponse resp;
     resp.number = 6;
-    ASSERT_OK(rendezvous.AF_SendResponse(resp));
+    resp.payload = ToBuffer("direct");
+    ASSERT_OK(rendezvous.AF_SendResponse(std::move(resp)));
   });
 
-  Buffer user_buffer(6);
-  ControlMessage msg;
-  msg.op = ControlOp::kRead;
-  msg.length = 6;
-  msg.inline_out = MutableByteSpan(user_buffer);
-  ASSERT_OK(rendezvous.AF_SendControl(msg));
+  std::string source = "hello";
+  ControlMessage write;
+  write.op = ControlOp::kWrite;
+  write.length = 5;
+  write.inline_in = AsBytes(source);
+  ASSERT_OK(rendezvous.AF_SendControl(write));
+  // The slot copied the bytes: the caller may reuse its buffer at once.
+  std::fill(source.begin(), source.end(), 'X');
+  ASSERT_OK(rendezvous.AF_GetResponse().status());
+
+  const std::string head = "ab";
+  const std::string tail = "cde";
+  ControlMessage gather;
+  gather.op = ControlOp::kWriteVec;
+  gather.length = 5;
+  gather.vec_in = {AsBytes(head), AsBytes(tail)};
+  ASSERT_OK(rendezvous.AF_SendControl(gather));
+  ASSERT_OK(rendezvous.AF_GetResponse().status());
+
+  Buffer user_buffer(6, 0);
+  ControlMessage read;
+  read.op = ControlOp::kRead;
+  read.length = 6;
+  read.inline_out = MutableByteSpan(user_buffer);
+  ASSERT_OK(rendezvous.AF_SendControl(read));
   auto resp = rendezvous.AF_GetResponse();
   ASSERT_OK(resp.status());
   EXPECT_EQ(resp->number, 6u);
-  EXPECT_EQ(ToString(ByteSpan(user_buffer)), "direct");
+  EXPECT_EQ(ToString(ByteSpan(resp->payload)), "direct");
+  // Copying the payload out is the caller's one copy; the slot never
+  // wrote into the caller's buffer.
+  EXPECT_EQ(user_buffer, Buffer(6, 0));
   sentinel_side.join();
 }
 

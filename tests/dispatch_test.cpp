@@ -4,6 +4,7 @@
 
 #include <deque>
 
+#include "common/faultpoint.hpp"
 #include "sentinel/dispatch.hpp"
 #include "sentinel/stream.hpp"
 #include "test_util.hpp"
@@ -17,6 +18,7 @@ class ScriptedEndpoint final : public SentinelEndpoint {
   std::deque<ControlMessage> script;
   std::vector<ControlResponse> responses;
   Buffer write_payload;  // returned by AF_GetDataFromAppl
+  std::vector<std::size_t> fetched;  // lengths AF_GetDataFromAppl served
 
   Result<ControlMessage> AF_GetControl() override {
     if (script.empty()) return ClosedError("script exhausted");
@@ -26,13 +28,14 @@ class ScriptedEndpoint final : public SentinelEndpoint {
   }
 
   Result<Buffer> AF_GetDataFromAppl(std::size_t length) override {
+    fetched.push_back(length);
     Buffer out = write_payload;
     out.resize(length, 0);
     return out;
   }
 
-  Status AF_SendResponse(const ControlResponse& response) override {
-    responses.push_back(response);
+  Status AF_SendResponse(ControlResponse response) override {
+    responses.push_back(std::move(response));
     return Status::Ok();
   }
 };
@@ -134,6 +137,38 @@ TEST(DispatchTest, WriteThenReadAdvancesPosition) {
   EXPECT_EQ(endpoint.responses[2].number, 0u);                // new position
   EXPECT_EQ(ToString(ByteSpan(endpoint.responses[3].payload)), "abcdef");
   EXPECT_EQ(endpoint.responses[3].number, 6u);
+}
+
+TEST(DispatchTest, FaultedWriteStillDrainsItsDataLane) {
+  // The injected fault answers the write, but its bytes already sit on the
+  // data lane: they are drained, so the next write's command pairs with
+  // its own bytes, and none of the faulted bytes reach the data part.
+  auto plan = fault::ParsePlan("seed=1;sentinel.dispatch.op=error:io@n1");
+  ASSERT_OK(plan.status());
+  fault::ScopedFaultPlan scoped(std::move(*plan));
+
+  ScriptedEndpoint endpoint;
+  endpoint.write_payload = ToBuffer("abcdef");
+  ControlMessage write;
+  write.op = ControlOp::kWrite;
+  write.length = 6;
+  endpoint.script.push_back(write);
+  ControlMessage close;
+  close.op = ControlOp::kClose;
+  endpoint.script.push_back(close);
+
+  Sentinel null_sentinel;
+  MemoryDataStore store;
+  SentinelContext ctx;
+  ctx.cache = &store;
+  EXPECT_EQ(RunSentinelLoop(null_sentinel, endpoint, ctx), 0);
+
+  ASSERT_EQ(endpoint.responses.size(), 3u);  // banner + write + close
+  EXPECT_EQ(endpoint.responses[1].status.code(), ErrorCode::kIoError);
+  EXPECT_EQ(endpoint.fetched, std::vector<std::size_t>{6});
+  auto size = store.Size();
+  ASSERT_OK(size.status());
+  EXPECT_EQ(*size, 0u);
 }
 
 TEST(DispatchTest, ErrorsBecomeResponsesNotChannelFailures) {

@@ -10,8 +10,12 @@
 // definition order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -448,6 +452,117 @@ TEST(LinkBudgetBracketTest, LoopPoisonedOpReturnsItsCharge) {
 
 TEST(LinkBudgetBracketTest, ProcessControlPoisonedOpReturnsItsCharge) {
   RunPoisonedOpUnderLinkBudget("process_control");
+}
+
+// ---- late answers to timed-out ops ----------------------------------------
+
+// The sentinel stalls 400 ms in its first op behind a 50 ms op deadline, so
+// the op gives up and the stalled sentinel finishes it ~350 ms later.  The
+// caller owns its buffer again the moment the op returns: the late answer
+// must not reach it, whether it is read data landing in the buffer or
+// write bytes taken from it.
+constexpr auto kLateAnswerLands = std::chrono::milliseconds(600);
+
+struct StalledFile {
+  TempDir tmp;
+  vfs::FileApi api{tmp.path() + "/root"};
+  core::ActiveFileManager manager{api, sentinel::SentinelRegistry::Global()};
+  fault::ScopedFaultPlan plan{
+      *fault::ParsePlan("seed=7;sentinel.dispatch.op=delay:400ms@n1")};
+  std::string name;
+
+  // Opens after the plan is armed, so a forked sentinel inherits it.
+  Result<vfs::HandleId> Open(const char* strategy, ByteSpan content,
+                             std::map<std::string, std::string> config = {}) {
+    sentinels::RegisterBuiltinSentinels();
+    manager.Install();
+    SentinelSpec spec;
+    spec.name = "null";
+    spec.config = std::move(config);
+    spec.config["strategy"] = strategy;
+    spec.config["op_timeout_ms"] = "50";
+    name = std::string(strategy) + "-late.af";
+    AFS_RETURN_IF_ERROR(manager.CreateActiveFile(name, spec, content));
+    return api.OpenFile(name, vfs::OpenMode::kReadWrite);
+  }
+};
+
+std::size_t ChangedBytes(const Buffer& buffer, std::uint8_t fill) {
+  return buffer.size() -
+         static_cast<std::size_t>(std::count(buffer.begin(), buffer.end(), fill));
+}
+
+void RunLateAnswerRead(const char* strategy, std::size_t size,
+                       std::map<std::string, std::string> config,
+                       ErrorCode want) {
+  StalledFile file;
+  auto handle = file.Open(strategy, ByteSpan(Buffer(size, 'd')),
+                          std::move(config));
+  ASSERT_OK(handle.status());
+
+  auto buffer = std::make_unique<Buffer>(size, 'Z');
+  EXPECT_STATUS_CODE(
+      file.api.ReadFile(*handle, MutableByteSpan(*buffer)).status(), want);
+  EXPECT_EQ(ChangedBytes(*buffer, 'Z'), 0u) << "at the return";
+  std::this_thread::sleep_for(kLateAnswerLands);
+  EXPECT_EQ(ChangedBytes(*buffer, 'Z'), 0u) << "once the late answer landed";
+  (void)file.api.CloseHandle(*handle);
+  EXPECT_EQ(ChangedBytes(*buffer, 'Z'), 0u) << "after CloseHandle";
+}
+
+void RunLateAnswerWrite(const char* strategy) {
+  StalledFile file;
+  auto handle = file.Open(strategy, AsBytes("0123456789abcdef"));
+  ASSERT_OK(handle.status());
+
+  auto source = std::make_unique<Buffer>(ToBuffer("late-write-bytes"));
+  EXPECT_STATUS_CODE(file.api.WriteFile(*handle, ByteSpan(*source)).status(),
+                     ErrorCode::kTimeout);
+  // The caller reuses its buffer at once; the late write may still land,
+  // but only with the bytes the caller handed over.
+  std::fill(source->begin(), source->end(), std::uint8_t{'Z'});
+  std::this_thread::sleep_for(kLateAnswerLands);
+  (void)file.api.CloseHandle(*handle);
+  auto data = file.manager.ReadDataPart(file.name);
+  ASSERT_OK(data.status());
+  EXPECT_EQ(std::count(data->begin(), data->end(), std::uint8_t{'Z'}), 0)
+      << ToString(ByteSpan(*data));
+}
+
+TEST(LateAnswerTest, ThreadTimedOutReadLeavesTheBufferAlone) {
+  RunLateAnswerRead("thread", 16, {}, ErrorCode::kTimeout);
+}
+
+TEST(LateAnswerTest, LoopTimedOutReadLeavesTheBufferAlone) {
+  RunLateAnswerRead("loop", 16, {}, ErrorCode::kTimeout);
+}
+
+TEST(LateAnswerTest, ProcessControlTimedOutReadLeavesTheBufferAlone) {
+  RunLateAnswerRead("process_control", 16, {}, ErrorCode::kTimeout);
+}
+
+// 64 KiB rides the shm ring, under supervision with a lease, so the
+// monitor drains heartbeat frames on the link while the read is stalled.
+// The timed-out session is torn down at once (restart_max=0 fails the
+// handle with kClosed); PipeLinkTest in control_test drives the drain of
+// a late shm-lane answer itself.
+TEST(LateAnswerTest, ProcessControlShmLaneReadLeavesTheBufferAlone) {
+  RunLateAnswerRead("process_control", 64 * 1024,
+                    {{"supervise", "1"}, {"lease_ms", "2000"},
+                     {"restart_max", "0"}},
+                    ErrorCode::kClosed);
+}
+
+TEST(LateAnswerTest, ThreadTimedOutWriteKeepsLaterBytesOut) {
+  RunLateAnswerWrite("thread");
+}
+
+TEST(LateAnswerTest, LoopTimedOutWriteKeepsLaterBytesOut) {
+  RunLateAnswerWrite("loop");
+}
+
+TEST(LateAnswerTest, ProcessControlTimedOutWriteKeepsLaterBytesOut) {
+  RunLateAnswerWrite("process_control");
 }
 
 // ---- HTTP: 503 + Retry-After ----------------------------------------------
