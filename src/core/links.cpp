@@ -13,6 +13,7 @@
 
 namespace afs::core {
 
+using ipc::kIoLegTimeout;
 using sentinel::ControlMessage;
 using sentinel::ControlOp;
 using sentinel::ControlResponse;
@@ -22,13 +23,6 @@ using sentinel::EncodeControlMessage;
 using sentinel::EncodeControlResponse;
 
 namespace {
-
-// Default bound on any single pipe transfer leg that is not covered by an
-// operator-configured deadline.  Pipe legs complete in microseconds when
-// the peer is alive (the capacity is one kernel buffer); ten seconds of a
-// full pipe means the peer stopped draining — fail with kTimeout instead
-// of parking a thread forever.
-constexpr Micros kPipeIoTimeout{10'000'000};
 
 // Idle re-arm slice for the endpoint's command wait when no heartbeat
 // cadence is configured: the wait becomes a sequence of bounded polls.
@@ -128,7 +122,7 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
   // generic pipe bound otherwise: a sentinel that stopped draining its
   // control pipe costs this op kTimeout, never a parked application.
   const Micros bound =
-      response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
+      response_timeout_.count() > 0 ? response_timeout_ : kIoLegTimeout;
   bool peer_ring;
   {
     // Stash the op's destination spans so a shm-lane response can scatter
@@ -181,14 +175,10 @@ Status PipeLink::AF_SendControl(const ControlMessage& message) {
     // payload bytes on the write pipe.
     return fds_.data_write.WriteAll(message.inline_in, bound);
   }
-  for (ByteSpan segment : message.vec_in) {
-    // Gather segments travel the write pipe concatenated; the sentinel
-    // slices them back apart from the message's segment table.
-    if (!segment.empty()) {
-      AFS_RETURN_IF_ERROR(fds_.data_write.WriteAll(segment, bound));
-    }
-  }
-  return Status::Ok();
+  // Gather segments travel the write pipe concatenated, in one writev; the
+  // sentinel slices them back apart from the message's segment table.
+  return fds_.data_write.WriteAll(std::span<const ByteSpan>(message.vec_in),
+                                  bound);
 }
 
 Status PipeLink::AdoptResponse(ControlResponse& response) {
@@ -200,7 +190,7 @@ Status PipeLink::AdoptResponse(ControlResponse& response) {
     return ProtocolError("shm-lane response without an attached ring");
   }
   const Micros bound =
-      response_timeout_.count() > 0 ? response_timeout_ : kPipeIoTimeout;
+      response_timeout_.count() > 0 ? response_timeout_ : kIoLegTimeout;
   std::size_t remaining = response.lane_len;
   for (MutableByteSpan dst : scatter_) {
     if (remaining == 0) break;
@@ -332,13 +322,13 @@ Result<ControlMessage> PipeEndpoint::AF_GetControl() {
       AFS_RETURN_IF_ERROR(ipc::WriteFrame(
           fds_.response_write,
           EncodeControlResponse(beat, ring_ ? sentinel::kDataPlaneRev : 0, 0),
-          kPipeIoTimeout));
+          kIoLegTimeout));
     }
   }
   // Readable now, so the frame-start wait is satisfied instantly; the
   // bound covers only a peer dying mid-frame.
   AFS_ASSIGN_OR_RETURN(Buffer frame,
-                       ipc::ReadFrame(fds_.control_read, kPipeIoTimeout));
+                       ipc::ReadFrame(fds_.control_read, kIoLegTimeout));
   AFS_ASSIGN_OR_RETURN(ControlMessage message,
                        DecodeControlMessage(ByteSpan(frame)));
   // Remember which lane this command's payload travels; the dispatch loop
@@ -353,13 +343,13 @@ Result<Buffer> PipeEndpoint::AF_GetDataFromAppl(std::size_t length) {
   if (ring_ && (last_lane_ & sentinel::kLaneShm) != 0) {
     AFS_RETURN_IF_ERROR(ring_->ReadExact(ipc::ShmRing::kToSentinel,
                                          MutableByteSpan(data),
-                                         kPipeIoTimeout));
+                                         kIoLegTimeout));
     return data;
   }
   // The control frame announcing these bytes already arrived; the payload
   // is right behind it, so a stall is a dead application, not idleness.
   AFS_RETURN_IF_ERROR(
-      fds_.data_read.ReadExact(MutableByteSpan(data), kPipeIoTimeout));
+      fds_.data_read.ReadExact(MutableByteSpan(data), kIoLegTimeout));
   return data;
 }
 
@@ -382,10 +372,10 @@ Status PipeEndpoint::AF_SendResponse(ControlResponse response) {
       fds_.response_write,
       EncodeControlResponse(response, ring_ ? sentinel::kDataPlaneRev : 0,
                             use_ring ? sentinel::kLaneShm : 0),
-      kPipeIoTimeout));
+      kIoLegTimeout));
   if (use_ring) {
     return ring_->Write(ipc::ShmRing::kToApp, ByteSpan(response.payload),
-                        kPipeIoTimeout);
+                        kIoLegTimeout);
   }
   return Status::Ok();
 }

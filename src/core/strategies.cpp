@@ -120,10 +120,6 @@ Micros OpTimeout(const OpenRequest& request) {
   return ms > 0 ? Micros{ms * 1000} : Micros{0};
 }
 
-// Bound on one shm-ring stream leg (mirrors the pipe bound in links.cpp):
-// ten seconds of a full/empty ring means the peer stopped participating.
-constexpr Micros kRingIoTimeout{10'000'000};
-
 // Poll cadence for ring-mode stream reads: each elapsed slice re-checks
 // peer liveness before re-arming the wait.
 constexpr Micros kRingPollSlice{200'000};
@@ -527,12 +523,12 @@ class DirectHandle final : public vfs::FileHandle {
 class ProcessHandle final : public vfs::FileHandle {
  public:
   ProcessHandle(ipc::PipeEnd to_sentinel, ipc::PipeEnd from_sentinel,
-                std::shared_ptr<ipc::ProcessWatch> child, Micros read_timeout,
+                std::shared_ptr<ipc::ProcessWatch> child, Micros op_timeout,
                 std::shared_ptr<ipc::ShmRing> ring = nullptr)
       : to_sentinel_(std::move(to_sentinel)),
         from_sentinel_(std::move(from_sentinel)),
         child_(std::move(child)),
-        read_timeout_(read_timeout),
+        op_timeout_(op_timeout),
         ring_(std::move(ring)) {}
 
   Result<std::size_t> Read(MutableByteSpan out) override {
@@ -544,9 +540,9 @@ class ProcessHandle final : public vfs::FileHandle {
       // purely as liveness probes.  Each elapsed slice re-checks the
       // outbound pipe — it turns readable (EOF) exactly when a sentinel
       // died without closing the ring.
-      const bool bounded = read_timeout_.count() > 0;
+      const bool bounded = op_timeout_.count() > 0;
       const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(read_timeout_.count());
+                            std::chrono::microseconds(op_timeout_.count());
       while (true) {
         Micros slice = kRingPollSlice;
         if (bounded) {
@@ -566,19 +562,21 @@ class ProcessHandle final : public vfs::FileHandle {
       }
     }
     // A sentinel that stops producing must cost kTimeout, not a hang; a
-    // dead one closes its end and the read below reports EOF.
-    AFS_RETURN_IF_ERROR(from_sentinel_.WaitReadable(read_timeout_));
-    return from_sentinel_.ReadSome(out);
+    // dead one closes its end and the read reports EOF.
+    return from_sentinel_.ReadSome(out, op_timeout_);
   }
 
   Result<std::size_t> Write(ByteSpan data) override {
     obs::Span span("link.stream.write");
     if (ring_) {
       AFS_RETURN_IF_ERROR(
-          ring_->Write(ipc::ShmRing::kToSentinel, data, kRingIoTimeout));
+          ring_->Write(ipc::ShmRing::kToSentinel, data, ipc::kIoLegTimeout));
       return data.size();
     }
-    AFS_RETURN_IF_ERROR(to_sentinel_.WriteAll(data));
+    // Likewise a sentinel that stops draining its input: the op deadline,
+    // or the leg bound when none is set, turns a full pipe into kTimeout.
+    AFS_RETURN_IF_ERROR(to_sentinel_.WriteAll(
+        data, op_timeout_.count() > 0 ? op_timeout_ : ipc::kIoLegTimeout));
     return data.size();
   }
 
@@ -614,7 +612,7 @@ class ProcessHandle final : public vfs::FileHandle {
   ipc::PipeEnd to_sentinel_;
   ipc::PipeEnd from_sentinel_;
   const std::shared_ptr<ipc::ProcessWatch> child_;
-  const Micros read_timeout_;
+  const Micros op_timeout_;
   // Bulk data plane when non-null (fork mode only; an exec'd stream binary
   // has no handshake to learn about the ring).
   const std::shared_ptr<ipc::ShmRing> ring_;
@@ -954,7 +952,7 @@ Result<std::unique_ptr<vfs::FileHandle>> OpenProcess(
         }
       };
       io.write_to_app = [&](ByteSpan data) {
-        return ring->Write(ipc::ShmRing::kToApp, data, kRingIoTimeout);
+        return ring->Write(ipc::ShmRing::kToApp, data, ipc::kIoLegTimeout);
       };
       io.finish_output = [&]() {
         ring->CloseDir(ipc::ShmRing::kToApp);

@@ -48,50 +48,9 @@ const bool kMetricsRegisteredEarly = [] {
   return true;
 }();
 
-}  // namespace
-
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload) {
-  FrameMetrics& metrics = WriteMetrics();
-  AFS_FAULT_POINT("ipc.frame.write");
-  Buffer header;
-  header.reserve(4);
-  AppendU32(header, static_cast<std::uint32_t>(payload.size()));
-  AFS_RETURN_IF_ERROR(pipe.WriteAll(header));
-  if (!payload.empty()) {
-    AFS_RETURN_IF_ERROR(pipe.WriteAll(payload));
-  }
-  metrics.frames.Add(1);
-  metrics.bytes.Add(4 + payload.size());
-  return Status::Ok();
-}
-
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
-  if (timeout.count() <= 0) return WriteFrame(pipe, payload);
-  FrameMetrics& metrics = WriteMetrics();
-  AFS_FAULT_POINT("ipc.frame.write");
-  Buffer header;
-  header.reserve(4);
-  AppendU32(header, static_cast<std::uint32_t>(payload.size()));
-  AFS_RETURN_IF_ERROR(pipe.WriteAll(header, timeout));
-  if (!payload.empty()) {
-    AFS_RETURN_IF_ERROR(pipe.WriteAll(payload, timeout));
-  }
-  metrics.frames.Add(1);
-  metrics.bytes.Add(4 + payload.size());
-  return Status::Ok();
-}
-
-Result<Buffer> ReadFrame(PipeEnd& pipe) {
-  FrameMetrics& metrics = ReadMetrics();
-  AFS_FAULT_POINT("ipc.frame.read");
-  std::uint8_t header[4];
-  // Distinguish clean EOF (peer done) from truncation: read the first byte
-  // separately.
-  AFS_ASSIGN_OR_RETURN(std::size_t first,
-                       pipe.ReadSome(MutableByteSpan(header, 1)));
-  if (first == 0) return ClosedError("frame stream ended");
-  AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(header + 1, 3)));
-
+// The u32 little-endian length prefix at `header`; kProtocol when it
+// exceeds kMaxFrameBytes (a corrupt peer must not size our buffers).
+Result<std::size_t> FrameLength(const std::uint8_t* header) {
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
     len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
@@ -100,26 +59,51 @@ Result<Buffer> ReadFrame(PipeEnd& pipe) {
     return ProtocolError("frame length " + std::to_string(len) +
                          " exceeds limit");
   }
+  return std::size_t{len};
+}
+
+Result<Buffer> ReadFrameBytes(PipeEnd& pipe, Micros timeout) {
+  std::uint8_t header[4];
+  // The first read waits for the frame to start; reading nothing there is
+  // a clean EOF between frames, while any later shortfall is truncation.
+  AFS_ASSIGN_OR_RETURN(std::size_t first,
+                       pipe.ReadSome(MutableByteSpan(header), timeout));
+  if (first == 0) return ClosedError("frame stream ended");
+  AFS_RETURN_IF_ERROR(
+      pipe.ReadExact(MutableByteSpan(header).subspan(first), timeout));
+  AFS_ASSIGN_OR_RETURN(std::size_t len, FrameLength(header));
   Buffer payload(len);
-  if (len > 0) {
-    AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload)));
-  }
-  metrics.frames.Add(1);
-  metrics.bytes.Add(4 + payload.size());
+  AFS_RETURN_IF_ERROR(pipe.ReadExact(MutableByteSpan(payload), timeout));
   return payload;
 }
 
-Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout) {
-  // The deadline covers the wait for the frame to begin; once bytes flow
-  // the peer is alive and the bounded-size body read completes promptly.
-  const Status ready = pipe.WaitReadable(timeout);
-  if (!ready.ok()) {
-    if (ready.code() == ErrorCode::kTimeout) {
-      ReadTimeouts().Add(1);
-    }
-    return ready;
+}  // namespace
+
+Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout) {
+  FrameMetrics& metrics = WriteMetrics();
+  AFS_FAULT_POINT("ipc.frame.write");
+  std::uint8_t header[4];
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) {
+    header[i] = static_cast<std::uint8_t>((len >> (8 * i)) & 0xff);
   }
-  return ReadFrame(pipe);
+  AFS_RETURN_IF_ERROR(pipe.WriteAll({ByteSpan(header), payload}, timeout));
+  metrics.frames.Add(1);
+  metrics.bytes.Add(4 + payload.size());
+  return Status::Ok();
+}
+
+Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout) {
+  FrameMetrics& metrics = ReadMetrics();
+  AFS_FAULT_POINT("ipc.frame.read");
+  Result<Buffer> payload = ReadFrameBytes(pipe, timeout);
+  if (!payload.ok()) {
+    if (payload.status().code() == ErrorCode::kTimeout) ReadTimeouts().Add(1);
+    return payload;
+  }
+  metrics.frames.Add(1);
+  metrics.bytes.Add(4 + payload->size());
+  return payload;
 }
 
 Status FrameDecoder::Append(ByteSpan bytes) {
@@ -128,15 +112,10 @@ Status FrameDecoder::Append(ByteSpan bytes) {
   // Validate the length prefix as soon as it is complete so a corrupt peer
   // is rejected before it makes us buffer an arbitrary amount.
   if (buffer_.size() >= 4) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(buffer_[static_cast<std::size_t>(i)])
-             << (8 * i);
-    }
-    if (len > kMaxFrameBytes) {
+    const Result<std::size_t> len = FrameLength(buffer_.data());
+    if (!len.ok()) {
       poisoned_ = true;
-      return ProtocolError("frame length " + std::to_string(len) +
-                           " exceeds limit");
+      return len.status();
     }
   }
   return Status::Ok();
@@ -144,12 +123,9 @@ Status FrameDecoder::Append(ByteSpan bytes) {
 
 std::optional<Buffer> FrameDecoder::Next() {
   if (poisoned_ || buffer_.size() < 4) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(buffer_[static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
-  const std::size_t total = 4 + static_cast<std::size_t>(len);
+  const Result<std::size_t> len = FrameLength(buffer_.data());
+  if (!len.ok()) return std::nullopt;
+  const std::size_t total = 4 + *len;
   if (buffer_.size() < total) return std::nullopt;
   FrameMetrics& metrics = ReadMetrics();
   Buffer payload(buffer_.begin() + 4, buffer_.begin() + total);

@@ -1,6 +1,9 @@
 // Length-prefixed message framing over pipe ends.  The process-plus-control
 // strategy sends typed commands ("read 50", "write 30", …) over the control
 // pipe; frames give those commands boundaries on a byte-stream transport.
+// One WriteFrame is one writev(2) of header plus payload; one ReadFrame is
+// usually one read of the header and one of the body (pipe.hpp: the
+// descriptors are non-blocking, so a read only waits when it hits EAGAIN).
 #pragma once
 
 #include <optional>
@@ -15,21 +18,17 @@ namespace afs::ipc {
 // data block the strategies move; bounds memory on a corrupt length prefix.
 inline constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 
-// Writes a u32 little-endian length followed by the payload.
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload);
-
-// Bounded variant: every stall against a full pipe waits at most `timeout`
-// (kTimeout when the peer stops draining); non-positive = unbounded.
-Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout);
+// Writes a u32 little-endian length followed by the payload, both in one
+// gathered WriteAll.  Every stall against a full pipe waits at most
+// `timeout` (kTimeout when the peer stops draining); non-positive waits
+// forever.
+Status WriteFrame(PipeEnd& pipe, ByteSpan payload, Micros timeout = {});
 
 // Reads one frame; kClosed at clean EOF (no partial frame read), kProtocol
-// on oversized length, kClosed on truncation mid-frame.
-Result<Buffer> ReadFrame(PipeEnd& pipe);
-
-// Deadline-aware variant: waits up to `timeout` for the frame to *start*
-// arriving (kTimeout otherwise), then reads it to completion.  A
-// non-positive timeout blocks forever, same as the plain overload.
-Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout);
+// on oversized length, kClosed on truncation mid-frame.  Each wait — for
+// the frame to start, and for the rest of its header and body — is capped
+// by `timeout` (kTimeout otherwise); non-positive waits forever.
+Result<Buffer> ReadFrame(PipeEnd& pipe, Micros timeout = {});
 
 // Incremental frame reassembly for event-loop transports: feed whatever
 // bytes arrived (Append), pop complete frames (Next).  The push-mode twin

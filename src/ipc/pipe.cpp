@@ -1,15 +1,32 @@
 #include "ipc/pipe.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "common/faultpoint.hpp"
 
 namespace afs::ipc {
+
+namespace {
+
+// ppoll's form of a wait bound: nullptr (no limit) when non-positive.
+const timespec* Bound(Micros timeout, timespec& storage) {
+  if (timeout.count() <= 0) return nullptr;
+  storage.tv_sec = static_cast<time_t>(timeout.count() / 1'000'000);
+  storage.tv_nsec = static_cast<long>(timeout.count() % 1'000'000) * 1000;
+  return &storage;
+}
+
+// iovec slots per writev; longer gather lists go out in batches.
+constexpr int kGatherBatch = 16;
+
+}  // namespace
 
 void PipeEnd::Close() noexcept {
   if (fd_ >= 0) {
@@ -27,7 +44,37 @@ Status PipeEnd::SetCloexec() {
   return Status::Ok();
 }
 
-Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out) {
+Result<bool> PipeEnd::PollFor(short events, const timespec* bound) const {
+  if (!valid()) return ClosedError("wait on closed pipe end");
+  pollfd pfd{};
+  pfd.fd = fd_;
+  pfd.events = events;
+  while (true) {
+    const int rc = ::ppoll(&pfd, 1, bound, nullptr);
+    if (rc >= 0) return rc > 0;
+    if (errno == EINTR) continue;
+    return IoError(std::string("pipe poll: ") + std::strerror(errno));
+  }
+}
+
+Status PipeEnd::WaitReadable(Micros timeout) const {
+  timespec storage{};
+  AFS_ASSIGN_OR_RETURN(bool ready, PollFor(POLLIN, Bound(timeout, storage)));
+  return ready ? Status::Ok() : TimeoutError("pipe read timed out");
+}
+
+Status PipeEnd::WaitWritable(Micros timeout) const {
+  timespec storage{};
+  AFS_ASSIGN_OR_RETURN(bool ready, PollFor(POLLOUT, Bound(timeout, storage)));
+  return ready ? Status::Ok() : TimeoutError("pipe write timed out");
+}
+
+Result<bool> PipeEnd::Poll() const {
+  const timespec now{};
+  return PollFor(POLLIN, &now);
+}
+
+Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out, Micros timeout) {
   if (!valid()) return ClosedError("read on closed pipe end");
   AFS_FAULT_POINT("ipc.pipe.read");
   // A truncate fault shortens the transfer; truncating to zero makes the
@@ -37,53 +84,68 @@ Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out) {
     const ssize_t n = ::read(fd_, out.data(), out.size());
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno == EINTR) continue;
-    return IoError(std::string("pipe read: ") + std::strerror(errno));
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return IoError(std::string("pipe read: ") + std::strerror(errno));
+    }
+    AFS_RETURN_IF_ERROR(WaitReadable(timeout));
   }
 }
 
-Status PipeEnd::WaitReadable(Micros timeout) const {
-  if (!valid()) return ClosedError("wait on closed pipe end");
-  if (timeout.count() <= 0) return Status::Ok();  // unbounded read follows
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  // Round up so sub-millisecond timeouts do not busy-spin at zero.
-  const int millis = static_cast<int>((timeout.count() + 999) / 1000);
-  while (true) {
-    const int rc = ::poll(&pfd, 1, millis);
-    if (rc > 0) return Status::Ok();  // readable, EOF, or error — read sees it
-    if (rc == 0) return TimeoutError("pipe read timed out");
-    if (errno == EINTR) continue;
-    return IoError(std::string("pipe poll: ") + std::strerror(errno));
+Status PipeEnd::ReadExact(MutableByteSpan out, Micros timeout) {
+  std::size_t done = 0;
+  while (done < out.size()) {
+    AFS_ASSIGN_OR_RETURN(std::size_t n,
+                         ReadSome(out.subspan(done), timeout));
+    if (n == 0) return ClosedError("pipe peer closed mid-message");
+    done += n;
   }
+  return Status::Ok();
 }
 
-Status PipeEnd::WaitWritable(Micros timeout) const {
-  if (!valid()) return ClosedError("wait on closed pipe end");
-  if (timeout.count() <= 0) return Status::Ok();  // unbounded write follows
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLOUT;
-  const int millis = static_cast<int>((timeout.count() + 999) / 1000);
-  while (true) {
-    const int rc = ::poll(&pfd, 1, millis);
-    if (rc > 0) return Status::Ok();  // writable or error — the write sees it
-    if (rc == 0) return TimeoutError("pipe write timed out");
-    if (errno == EINTR) continue;
-    return IoError(std::string("pipe poll: ") + std::strerror(errno));
+Status PipeEnd::WriteAll(GatherList bytes, Micros timeout) {
+  if (!valid()) return ClosedError("write on closed pipe end");
+  AFS_FAULT_POINT("ipc.pipe.write");
+  const std::span<const ByteSpan> parts = bytes.parts();
+  std::size_t total = 0;
+  for (ByteSpan part : parts) total += part.size();
+  // A truncate fault ships a prefix of the gathered bytes and then fails
+  // as if the peer vanished mid-message — the receiver sees a torn frame.
+  const std::size_t keep = AFS_FAULT_TRUNCATE("ipc.pipe.write", total);
+  std::size_t left = keep;
+  std::size_t part = 0;    // first part with unwritten bytes
+  std::size_t offset = 0;  // bytes of parts[part] already written
+  while (left > 0) {
+    iovec iov[kGatherBatch];
+    int count = 0;
+    std::size_t room = left;
+    for (std::size_t i = part;
+         i < parts.size() && count < kGatherBatch && room > 0; ++i) {
+      const std::size_t skip = i == part ? offset : 0;
+      const std::size_t len = std::min(parts[i].size() - skip, room);
+      if (len == 0) continue;
+      // writev(2) takes a non-const base pointer but only reads through it.
+      // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast)
+      iov[count++] = {const_cast<std::uint8_t*>(parts[i].data() + skip), len};
+      room -= len;
+    }
+    const ssize_t n = ::writev(fd_, iov, count);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        AFS_RETURN_IF_ERROR(WaitWritable(timeout));
+        continue;
+      }
+      if (errno == EPIPE) return ClosedError("pipe peer closed");
+      return IoError(std::string("pipe write: ") + std::strerror(errno));
+    }
+    left -= static_cast<std::size_t>(n);
+    offset += static_cast<std::size_t>(n);
+    while (part < parts.size() && offset >= parts[part].size()) {
+      offset -= parts[part].size();
+      ++part;
+    }
   }
-}
-
-Status PipeEnd::SetNonblocking(bool enabled) {
-  if (!valid()) return ClosedError("fcntl on closed pipe end");
-  const int flags = ::fcntl(fd_, F_GETFL);
-  if (flags < 0) {
-    return IoError(std::string("fcntl F_GETFL: ") + std::strerror(errno));
-  }
-  const int next = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (next != flags && ::fcntl(fd_, F_SETFL, next) != 0) {
-    return IoError(std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
-  }
+  if (keep < total) return ClosedError("pipe peer closed mid-write (fault)");
   return Status::Ok();
 }
 
@@ -100,109 +162,9 @@ bool PipeWriterHasReader(int write_fd) noexcept {
   }
 }
 
-Result<bool> PipeEnd::Poll() const {
-  if (!valid()) return ClosedError("poll on closed pipe end");
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
-  while (true) {
-    const int rc = ::poll(&pfd, 1, 0);
-    if (rc > 0) return true;  // readable, EOF, or error — a read resolves it
-    if (rc == 0) return false;
-    if (errno == EINTR) continue;
-    return IoError(std::string("pipe poll: ") + std::strerror(errno));
-  }
-}
-
-Status PipeEnd::ReadExact(MutableByteSpan out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    AFS_ASSIGN_OR_RETURN(std::size_t n,
-                         ReadSome(out.subspan(done, out.size() - done)));
-    if (n == 0) return ClosedError("pipe peer closed mid-message");
-    done += n;
-  }
-  return Status::Ok();
-}
-
-Status PipeEnd::ReadExact(MutableByteSpan out, Micros timeout) {
-  if (timeout.count() <= 0) return ReadExact(out);
-  std::size_t done = 0;
-  while (done < out.size()) {
-    AFS_RETURN_IF_ERROR(WaitReadable(timeout));
-    AFS_ASSIGN_OR_RETURN(std::size_t n,
-                         ReadSome(out.subspan(done, out.size() - done)));
-    if (n == 0) return ClosedError("pipe peer closed mid-message");
-    done += n;
-  }
-  return Status::Ok();
-}
-
-Status PipeEnd::WriteAll(ByteSpan bytes) {
-  if (!valid()) return ClosedError("write on closed pipe end");
-  AFS_FAULT_POINT("ipc.pipe.write");
-  // A truncate fault ships a partial payload and then fails as if the
-  // peer vanished mid-message — the receiver sees a torn frame.
-  const std::size_t keep = AFS_FAULT_TRUNCATE("ipc.pipe.write", bytes.size());
-  const bool torn = keep < bytes.size();
-  if (torn) bytes = bytes.first(keep);
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE) return ClosedError("pipe peer closed");
-      return IoError(std::string("pipe write: ") + std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (torn) return ClosedError("pipe peer closed mid-write (fault)");
-  return Status::Ok();
-}
-
-Status PipeEnd::WriteAll(ByteSpan bytes, Micros timeout) {
-  if (timeout.count() <= 0) return WriteAll(bytes);
-  if (!valid()) return ClosedError("write on closed pipe end");
-  AFS_FAULT_POINT("ipc.pipe.write");
-  // Same torn-write fault semantics as the unbounded path: ship a partial
-  // payload, then fail as if the peer vanished mid-message.
-  const std::size_t keep = AFS_FAULT_TRUNCATE("ipc.pipe.write", bytes.size());
-  const bool torn = keep < bytes.size();
-  if (torn) bytes = bytes.first(keep);
-
-  // O_NONBLOCK for the transfer so a full pipe surfaces as EAGAIN (a
-  // blocking pipe write parks until the whole payload fits), restored on
-  // every exit so surrounding blocking users are unaffected.
-  AFS_RETURN_IF_ERROR(SetNonblocking(true));
-  Status result = Status::Ok();
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-    if (n >= 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result = WaitWritable(timeout);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = errno == EPIPE
-                 ? ClosedError("pipe peer closed")
-                 : IoError(std::string("pipe write: ") + std::strerror(errno));
-    break;
-  }
-  const Status restored = SetNonblocking(false);
-  if (result.ok()) result = restored;
-  if (!result.ok()) return result;
-  if (torn) return ClosedError("pipe peer closed mid-write (fault)");
-  return Status::Ok();
-}
-
 Result<Pipe> Pipe::Create() {
   int fds[2];
-  if (::pipe(fds) != 0) {
+  if (::pipe2(fds, O_NONBLOCK) != 0) {
     return IoError(std::string("pipe: ") + std::strerror(errno));
   }
   Pipe p;

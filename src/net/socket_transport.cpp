@@ -31,12 +31,6 @@ Status FillSockaddr(const std::string& path, sockaddr_un& addr) {
   return Status::Ok();
 }
 
-// Bound on any client-side transport leg not covered by an operator-
-// configured call timeout (non-blocking connect completion, request
-// send).  Mirrors the pipe layer's default: seconds of an unresponsive
-// peer means it is gone, and kTimeout beats a parked caller.
-constexpr Micros kSocketIoTimeout{10'000'000};
-
 }  // namespace
 
 SocketServer::SocketServer(std::string socket_path, RpcHandler& handler)
@@ -316,7 +310,7 @@ Status SocketClient::EnsureConnected() {
   }
   const Micros bound = options_.call_timeout.count() > 0
                            ? options_.call_timeout
-                           : kSocketIoTimeout;
+                           : ipc::kIoLegTimeout;
   // sockaddr_un -> sockaddr is the POSIX-sanctioned sockets-API pun.
   // NOLINTNEXTLINE(cppcoreguidelines-pro-type-reinterpret-cast)
   // afs-lint: allow(nonblocking: O_NONBLOCK connect; bounded by the WaitWritable deadline below)
@@ -347,15 +341,8 @@ Status SocketClient::EnsureConnected() {
       return IoError("connect " + path_ + ": " + std::strerror(so_error));
     }
   }
-  // Only the connect leg runs in non-blocking mode; the call pattern is a
-  // blocking request/response with its own bounded waits.
-  ipc::PipeEnd stream(fd_);
-  const Status restored = stream.SetNonblocking(false);
-  (void)stream.Release();
-  if (!restored.ok()) {
-    Disconnect();
-    return restored;
-  }
+  // The socket stays non-blocking as socket() made it: CallOnce's frame
+  // transfers wait only on EAGAIN, each wait under its deadline.
   return Status::Ok();
 }
 
@@ -373,7 +360,7 @@ Result<Buffer> SocketClient::CallOnce(ByteSpan request) {
   ipc::PipeEnd stream(fd_);
   const Micros bound = options_.call_timeout.count() > 0
                            ? options_.call_timeout
-                           : kSocketIoTimeout;
+                           : ipc::kIoLegTimeout;
   Status sent = ipc::WriteFrame(stream, request, bound);
   if (!sent.ok()) {
     (void)stream.Release();

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "ipc/framing.hpp"
@@ -57,6 +58,45 @@ TEST(PipeTest, OperationsOnClosedEndFail) {
   EXPECT_EQ(end.WriteAll(AsBytes("x")).code(), ErrorCode::kClosed);
 }
 
+TEST(PipeTest, BoundedWriteAllTimesOutOnFullPipeThenCarriesAFrame) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  // Far more than one pipe buffer, and nobody reading: the write stalls.
+  const Buffer flood(4 * 1024 * 1024, 0x5a);
+  EXPECT_EQ(pipe->write_end.WriteAll(ByteSpan(flood), Micros{50'000}).code(),
+            ErrorCode::kTimeout);
+
+  // The reader drains what got through.  The same end then carries a whole
+  // frame: a timed-out write leaves no descriptor mode to restore.
+  Buffer sink(64 * 1024);
+  std::size_t drained = 0;
+  while (*pipe->read_end.Poll()) {
+    auto n = pipe->read_end.ReadSome(MutableByteSpan(sink));
+    ASSERT_OK(n.status());
+    drained += *n;
+  }
+  EXPECT_GT(drained, 0u);
+  EXPECT_LT(drained, flood.size());
+  ASSERT_OK(WriteFrame(pipe->write_end, AsBytes("after"), Micros{50'000}));
+  auto frame = ReadFrame(pipe->read_end, Micros{50'000});
+  ASSERT_OK(frame.status());
+  EXPECT_EQ(ToString(ByteSpan(*frame)), "after");
+}
+
+TEST(PipeTest, SubMillisecondWaitReadableTimesOutOnTime) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  // The wait honours a sub-millisecond bound instead of rounding it up to
+  // a whole millisecond.
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(pipe->read_end.WaitReadable(Micros{200}).code(),
+              ErrorCode::kTimeout);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(15));
+}
+
 TEST(FramingTest, RoundTripFrames) {
   auto pipe = Pipe::Create();
   ASSERT_OK(pipe.status());
@@ -101,6 +141,19 @@ TEST(FramingTest, OversizedLengthRejected) {
   ASSERT_OK(pipe->write_end.WriteAll(ByteSpan(header)));
   EXPECT_EQ(ReadFrame(pipe->read_end).status().code(),
             ErrorCode::kProtocolError);
+}
+
+TEST(FramingTest, ReadFrameTimesOutOnStalledBody) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  // A header promising 10 bytes, 3 of them, then the peer stalls with its
+  // end still open: the body wait is bounded like the frame-start wait.
+  Buffer partial;
+  AppendU32(partial, 10);
+  AppendBytes(partial, AsBytes("abc"));
+  ASSERT_OK(pipe->write_end.WriteAll(ByteSpan(partial)));
+  EXPECT_EQ(ReadFrame(pipe->read_end, Micros{50'000}).status().code(),
+            ErrorCode::kTimeout);
 }
 
 TEST(ProcessTest, SpawnFunctionReturnsExitCode) {

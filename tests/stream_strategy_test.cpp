@@ -3,7 +3,10 @@
 // semantics the paper describes for strategy 1.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "afs.hpp"
+#include "common/faultpoint.hpp"
 #include "test_util.hpp"
 
 namespace afs {
@@ -122,6 +125,33 @@ TEST_F(StreamStrategyTest, LoggingSentinelOverPipes) {
   EXPECT_NE(text.find("record-a"), std::string::npos);
   EXPECT_NE(text.find("record-b"), std::string::npos);
   EXPECT_EQ(text.back(), '\n');
+}
+
+TEST_F(StreamStrategyTest, StalledSentinelInputSurfacesAsTimeoutNotHang) {
+  // The pump's write side (the one draining the application's writes off
+  // its stdin) stalls 400 ms before its first read, so a 256 KiB write
+  // fills the pipe; the 50 ms op deadline must end the write with kTimeout
+  // instead of parking the application.
+  auto plan = fault::ParsePlan("seed=7;sentinel.stream.write=delay:400ms@n1");
+  ASSERT_OK(plan.status());
+  fault::ScopedFaultPlan scoped(std::move(*plan));
+
+  SentinelSpec spec;
+  spec.name = "log";
+  spec.config["strategy"] = "process";
+  spec.config["op_timeout_ms"] = "50";
+  spec.config["shm_threshold"] = "off";  // the bytes travel the stdin pipe
+  ASSERT_OK(manager_.CreateActiveFile("stall.af", spec));
+  auto handle = api_.OpenFile("stall.af", vfs::OpenMode::kWrite);
+  ASSERT_OK(handle.status());
+
+  const Buffer big(256 * 1024, 'w');
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_STATUS_CODE(api_.WriteFile(*handle, ByteSpan(big)).status(),
+                     ErrorCode::kTimeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(350));
+  (void)api_.CloseHandle(*handle);
 }
 
 // Registry-of-sentinels API behaviour.

@@ -147,6 +147,10 @@ TEST_F(LintFixtureTest, NonblockingFlagsSeededViolationOnly) {
   EXPECT_NE(out.find("PumpOnce"), std::string::npos);
   EXPECT_NE(out.find("`read`"), std::string::npos);
   EXPECT_NE(out.find("Drain"), std::string::npos);  // the transitive chain
+  // A one-argument WriteAll has no deadline and reaches writev(2).
+  EXPECT_NE(out.find("Flush"), std::string::npos);
+  EXPECT_NE(out.find("`writev`"), std::string::npos);
+  EXPECT_NE(out.find("PipeEnd::WriteAll"), std::string::npos);
 
   std::tie(code, out) = Lint("nonblocking", "nonblocking_clean.cpp");
   EXPECT_EQ(code, 0) << out;

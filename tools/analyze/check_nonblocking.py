@@ -14,15 +14,17 @@ Blocking policy (the lists below are the policy — edit them deliberately):
   `poll` & friends, `waitpid` without WNOHANG, `accept`, `connect`,
   `recv*`/`send*`, `sleep*`), `CondVar::Wait`, `std::condition_variable`
   waits, thread `join`, cross-process `NamedMutex` acquisition (including
-  the RAII `NamedMutexGuard`), and `ipc::ReadFrame(pipe)` — the one-argument
-  overload with no deadline.
+  the RAII `NamedMutexGuard`), and `ipc::ReadFrame(pipe)` — called
+  without its deadline argument.
 * bounded (traversal cuts): `CondVar::WaitUntil`, `PipeEnd::WaitReadable`,
   `PipeEnd::WaitWritable`, `PipeEnd::Poll`, `TryLock`,
-  `waitpid(..., WNOHANG)`, the deadline-carrying transfer overloads —
-  `ipc::ReadFrame(pipe, timeout)`, `ipc::WriteFrame(pipe, payload,
-  timeout)`, `PipeEnd::WriteAll(bytes, timeout)`,
-  `PipeEnd::ReadExact(out, timeout)` — anything that converts a wedged
-  peer into a `kTimeout`/`kBusy` the caller must handle.
+  `waitpid(..., WNOHANG)`, the transfer functions called with their
+  deadline argument — `ipc::ReadFrame(pipe, timeout)`,
+  `ipc::WriteFrame(pipe, payload, timeout)`, `PipeEnd::WriteAll(bytes,
+  timeout)`, `PipeEnd::ReadExact(out, timeout)` — anything that converts
+  a wedged peer into a `kTimeout`/`kBusy` the caller must handle.  Each
+  transfer function is a single function whose timeout defaults to "wait
+  forever", so the argument count is what tells the two calls apart.
 * `afs::Mutex::Lock` / `MutexLock` are allowed: in-process critical
   sections are short by construction (the lock-order checker and TSan keep
   them honest); what kills an event loop is waiting on a *peer* while
