@@ -5,16 +5,24 @@
 //                       (the process strategies' per-op cost: two
 //                       protection-domain crossings + kernel copies)
 //   RendezvousRoundTrip — the thread strategy's shared-memory handoff
-//                       (two context switches, zero kernel data copies,
-//                       one user-level copy out of the slot's payload)
+//                       (zero kernel data copies, one user-level copy out
+//                       of the slot's payload; two context switches only
+//                       when a side outwaits its spin budget)
 //   VirtualCall       — the DLL-only strategy's direct dispatch
 //   plus the raw syscall and memcpy floors for reference.
+//
+// The two round trips also report `cpu_us_per_op`: CPU time of both sides
+// per round trip, next to the real time.  A waiter that spins before it
+// parks (common/spin_wait.hpp) trades CPU for latency, and this counter
+// shows the trade.
 #include <benchmark/benchmark.h>
 #include <algorithm>
 #include <cstring>
 
 #include <thread>
 
+#include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "core/links.hpp"
@@ -30,11 +38,37 @@ using sentinel::ControlMessage;
 using sentinel::ControlOp;
 using sentinel::ControlResponse;
 
+// CPU time used so far by every thread of this process, in µs.
+double ProcessCpuUs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 +
+         static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
+// CPU time of this process's reaped children, in µs.
+double ReapedChildrenCpuUs() {
+  rusage usage{};
+  getrusage(RUSAGE_CHILDREN, &usage);
+  const auto us = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e6 +
+           static_cast<double>(tv.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
+
+void ReportCpuPerOp(benchmark::State& state, double cpu_us) {
+  if (state.iterations() == 0) return;
+  state.counters["cpu_us_per_op"] =
+      cpu_us / static_cast<double>(state.iterations());
+}
+
 // ---- pipe round trip to a real child process ---------------------------
 
 void BM_PipeRoundTrip(benchmark::State& state) {
   ipc::IgnoreSigpipe();
   const std::size_t block = static_cast<std::size_t>(state.range(0));
+  const double children_cpu_before = ReapedChildrenCpuUs();
   auto to_child = ipc::Pipe::Create();
   auto from_child = ipc::Pipe::Create();
   if (!to_child.ok() || !from_child.ok()) {
@@ -60,14 +94,20 @@ void BM_PipeRoundTrip(benchmark::State& state) {
   from_child->write_end.Close();
 
   Buffer payload(block, 0x42);
+  const double cpu_before = ProcessCpuUs();
   for (auto _ : state) {
     if (!ipc::WriteFrame(to_child->write_end, ByteSpan(payload)).ok()) break;
     auto echo = ipc::ReadFrame(from_child->read_end);
     if (!echo.ok()) break;
     benchmark::DoNotOptimize(echo->data());
   }
+  const double cpu_after = ProcessCpuUs();
   to_child->write_end.Close();
   (void)child->Wait();
+  // The echo child's CPU is included: once reaped, its whole lifetime
+  // (a fork and an exit beside the echo loop) shows in RUSAGE_CHILDREN.
+  ReportCpuPerOp(state, cpu_after - cpu_before + ReapedChildrenCpuUs() -
+                            children_cpu_before);
 }
 
 // ---- thread rendezvous round trip ---------------------------------------
@@ -93,6 +133,9 @@ void BM_RendezvousRoundTrip(benchmark::State& state) {
   });
 
   Buffer buffer(block);
+  // Both sides are threads of this process, so the process clock covers
+  // the sentinel thread too.
+  const double cpu_before = ProcessCpuUs();
   for (auto _ : state) {
     ControlMessage msg;
     msg.op = ControlOp::kRead;
@@ -107,6 +150,7 @@ void BM_RendezvousRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(buffer.data());
     benchmark::ClobberMemory();
   }
+  ReportCpuPerOp(state, ProcessCpuUs() - cpu_before);
   ControlMessage close_msg;
   close_msg.op = ControlOp::kClose;
   (void)rendezvous.AF_SendControl(close_msg);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/faultpoint.hpp"
+#include "common/spin_wait.hpp"
 #include "core/cache.hpp"
 #include "core/supervisor.hpp"
 #include "ipc/framing.hpp"
@@ -396,7 +397,7 @@ Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
   if (shutdown_) return ClosedError("rendezvous closed");
   message_ = std::move(owned);
   data_ = std::move(data);
-  state_ = SlotState::kCommand;
+  SetState(SlotState::kCommand);
   lock.Unlock();
   cv_.NotifyAll();
   return Status::Ok();
@@ -404,10 +405,14 @@ Status ThreadRendezvous::AF_SendControl(const ControlMessage& message) {
 
 Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
   AFS_FAULT_POINT("core.link.recv");
+  const Micros timeout{response_timeout_us_.load()};
+  const bool bounded = timeout.count() > 0;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // The answer usually lands microseconds after the command: spin for it,
+  // inside the deadline, before parking on the condition variable.
+  SpinWait([this] { return Settled(SlotState::kResponse); },
+           bounded ? deadline : std::chrono::steady_clock::time_point::max());
   MutexLock lock(mu_);
-  const bool bounded = response_timeout_.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(response_timeout_.count());
   while (state_ != SlotState::kResponse && !shutdown_) {
     if (!bounded) {
       // Unbounded only when the operator set op_timeout_ms=0 to opt out of
@@ -426,7 +431,7 @@ Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
   // must not be dropped.
   if (state_ != SlotState::kResponse) return ClosedError("rendezvous closed");
   ControlResponse response = std::move(response_);
-  state_ = SlotState::kIdle;
+  SetState(SlotState::kIdle);
   lock.Unlock();
   cv_.NotifyAll();
   return response;
@@ -434,6 +439,9 @@ Result<ControlResponse> ThreadRendezvous::AF_GetResponse() {
 
 Result<ControlMessage> ThreadRendezvous::AF_GetControl() {
   AFS_FAULT_POINT("sentinel.endpoint.recv");
+  // A busy application sends its next command within microseconds of
+  // collecting the last answer: spin for it before the idle park.
+  SpinWait([this] { return Settled(SlotState::kCommand); });
   MutexLock lock(mu_);
   while (state_ != SlotState::kCommand && !shutdown_) {
     if (lease_ != nullptr && lease_interval_.count() > 0) {
@@ -468,7 +476,7 @@ Result<ControlMessage> ThreadRendezvous::TryGetControl() {
 void ThreadRendezvous::WithdrawCommand() {
   {
     MutexLock lock(mu_);
-    if (state_ == SlotState::kCommand) state_ = SlotState::kIdle;
+    if (state_ == SlotState::kCommand) SetState(SlotState::kIdle);
   }
   cv_.NotifyAll();
 }
@@ -488,7 +496,7 @@ Status ThreadRendezvous::AF_SendResponse(ControlResponse response) {
   if (shutdown_) return ClosedError("rendezvous closed");
   if (lease_) lease_->Renew();
   response_ = std::move(response);
-  state_ = SlotState::kResponse;
+  SetState(SlotState::kResponse);
   lock.Unlock();
   cv_.NotifyAll();
   return Status::Ok();
@@ -498,13 +506,23 @@ void ThreadRendezvous::Shutdown() {
   {
     MutexLock lock(mu_);
     shutdown_ = true;
+    SetState(state_);  // republishes the mirror with its shutdown bit
   }
   cv_.NotifyAll();
 }
 
-void ThreadRendezvous::set_response_timeout(Micros timeout) noexcept {
-  MutexLock lock(mu_);
-  response_timeout_ = timeout;
+void ThreadRendezvous::SetState(SlotState state) {
+  state_ = state;
+  mirror_.store(static_cast<std::uint8_t>(
+                    static_cast<std::uint8_t>(state) |
+                    (shutdown_ ? kMirrorShutdown : std::uint8_t{0})),
+                std::memory_order_release);
+}
+
+bool ThreadRendezvous::Settled(SlotState state) const noexcept {
+  const std::uint8_t mirror = mirror_.load(std::memory_order_acquire);
+  return mirror == static_cast<std::uint8_t>(state) ||
+         (mirror & kMirrorShutdown) != 0;
 }
 
 void ThreadRendezvous::set_lease(std::shared_ptr<Lease> lease,

@@ -18,6 +18,8 @@
 // a link only ever carries an op that was already admitted.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -259,7 +261,9 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
 
   // Bounds the application's AF_GetResponse wait; kTimeout when the
   // sentinel thread does not answer in time.  Non-positive waits forever.
-  void set_response_timeout(Micros timeout) noexcept;
+  void set_response_timeout(Micros timeout) noexcept {
+    response_timeout_us_.store(timeout.count());
+  }
 
   // Installs the shared-memory lease the sentinel thread renews from
   // inside its waits (the in-process analogue of heartbeat frames).  The
@@ -267,7 +271,15 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   void set_lease(std::shared_ptr<Lease> lease, Micros interval);
 
  private:
-  enum class SlotState { kIdle, kCommand, kResponse };
+  enum class SlotState : std::uint8_t { kIdle, kCommand, kResponse };
+  static constexpr std::uint8_t kMirrorShutdown = 0x80;
+
+  // Moves the slot to `state` and republishes mirror_.
+  void SetState(SlotState state) AFS_REQUIRES(mu_);
+
+  // The spin's lock-free test: mirror_ shows `state`, or shutdown.  The
+  // waiter still takes mu_ and re-checks before it acts.
+  bool Settled(SlotState state) const noexcept;
 
   Mutex mu_;
   CondVar cv_;
@@ -276,7 +288,11 @@ class ThreadRendezvous final : public sentinel::SentinelLink,
   // Shutdown() lands (the failed-open banner) must still reach the
   // application before AF_GetResponse starts reporting kClosed.
   bool shutdown_ AFS_GUARDED_BY(mu_) = false;
-  Micros response_timeout_ AFS_GUARDED_BY(mu_){0};
+  // state_ | (shutdown_ ? kMirrorShutdown : 0), stored under mu_ at every
+  // change of either, so a waiter can spin on it without the lock.
+  std::atomic<std::uint8_t> mirror_{0};
+  // Read before the lock: AF_GetResponse takes its deadline, then spins.
+  std::atomic<Micros::rep> response_timeout_us_{0};
   std::shared_ptr<Lease> lease_ AFS_GUARDED_BY(mu_);
   Micros lease_interval_ AFS_GUARDED_BY(mu_){0};
   // The command in flight, stripped of its spans, and its write bytes.

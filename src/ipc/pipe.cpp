@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <fcntl.h>
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/faultpoint.hpp"
+#include "common/spin_wait.hpp"
 
 namespace afs::ipc {
 
@@ -80,15 +82,40 @@ Result<std::size_t> PipeEnd::ReadSome(MutableByteSpan out, Micros timeout) {
   // A truncate fault shortens the transfer; truncating to zero makes the
   // caller observe a premature EOF, the classic dead-peer shape.
   out = out.first(AFS_FAULT_TRUNCATE("ipc.pipe.read", out.size()));
-  while (true) {
-    const ssize_t n = ::read(fd_, out.data(), out.size());
-    if (n >= 0) return static_cast<std::size_t>(n);
-    if (errno == EINTR) continue;
-    if (errno != EAGAIN && errno != EWOULDBLOCK) {
-      return IoError(std::string("pipe read: ") + std::strerror(errno));
+  ssize_t n = -1;
+  int error = 0;
+  // One read; false only while the pipe is empty (or the read was
+  // interrupted).  Data, EOF and hard errors all end the wait.
+  auto attempt = [&] {
+    n = ::read(fd_, out.data(), out.size());
+    error = n < 0 ? errno : 0;
+    return n >= 0 ||
+           (error != EAGAIN && error != EWOULDBLOCK && error != EINTR);
+  };
+  if (!attempt()) {
+    // Taken before the spin, so the spin is part of the wait `timeout`
+    // bounds.
+    const bool bounded = timeout.count() > 0;
+    const auto deadline =
+        bounded ? std::chrono::steady_clock::now() + timeout
+                : std::chrono::steady_clock::time_point::max();
+    // A peer on another core usually answers within microseconds: an
+    // empty pipe is read again for the spin budget before ppoll parks the
+    // thread.  A spin that ran out has just read, so the park comes first.
+    if (!SpinWait(attempt, deadline)) {
+      do {
+        Micros wait = timeout;
+        if (bounded) {
+          wait = std::chrono::duration_cast<Micros>(
+              deadline - std::chrono::steady_clock::now());
+          if (wait.count() <= 0) return TimeoutError("pipe read timed out");
+        }
+        AFS_RETURN_IF_ERROR(WaitReadable(wait));
+      } while (!attempt());
     }
-    AFS_RETURN_IF_ERROR(WaitReadable(timeout));
   }
+  if (n >= 0) return static_cast<std::size_t>(n);
+  return IoError(std::string("pipe read: ") + std::strerror(error));
 }
 
 Status PipeEnd::ReadExact(MutableByteSpan out, Micros timeout) {

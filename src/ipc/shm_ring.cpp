@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/faultpoint.hpp"
+#include "common/spin_wait.hpp"
 #include "obs/metrics.hpp"
 
 namespace afs::ipc {
@@ -43,19 +44,33 @@ long Futex(std::atomic<std::uint32_t>* word, int op, std::uint32_t value,
                  ts, nullptr, 0);
 }
 
-// Eventcount park: sleeps until the word moves past `expected`, a wake
+// Eventcount wait: returns once the word moves past `expected`, a wake
 // arrives, or `slice` elapses.  Callers re-validate their condition after
 // every return (spurious wakeups are fine, lost wakeups are not — the
 // waker bumps the word before waking, so a state change between the
-// caller's load of `expected` and this wait returns immediately).
+// caller's load of `expected` and the futex wait returns immediately).
+// The peer usually moves the ring within microseconds, so the word is
+// spun on for the spin budget, inside the slice, before the futex park;
+// ipc.shm.futex_waits counts only the parks.
 void FutexWaitSlice(std::atomic<std::uint32_t>* word, std::uint32_t expected,
                     Micros slice) {
   static obs::Counter& waits =
       obs::Registry::Global().GetCounter("ipc.shm.futex_waits");
+  const auto deadline = std::chrono::steady_clock::now() + slice;
+  if (SpinWait(
+          [word, expected] {
+            return word->load(std::memory_order_acquire) != expected;
+          },
+          deadline)) {
+    return;
+  }
+  const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      deadline - std::chrono::steady_clock::now());
+  if (left.count() <= 0) return;
   waits.Add(1);
   timespec ts;
-  ts.tv_sec = static_cast<time_t>(slice.count() / 1'000'000);
-  ts.tv_nsec = static_cast<long>((slice.count() % 1'000'000) * 1000);
+  ts.tv_sec = static_cast<time_t>(left.count() / 1'000'000'000);
+  ts.tv_nsec = static_cast<long>(left.count() % 1'000'000'000);
   (void)Futex(word, FUTEX_WAIT, expected, &ts);
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -370,6 +372,52 @@ TEST(ThreadRendezvousTest, ShutdownUnblocksBothSides) {
   ControlMessage msg;
   EXPECT_EQ(rendezvous.AF_SendControl(msg).code(), ErrorCode::kClosed);
   EXPECT_EQ(rendezvous.AF_GetResponse().status().code(), ErrorCode::kClosed);
+}
+
+TEST(ThreadRendezvousTest, BoundedResponseWaitSpinsInsideItsDeadline) {
+  // The spin before the park is part of the op's wait: with nobody to
+  // answer, a 200 µs bound ends in kTimeout, never before the bound and
+  // 20 times in a row inside 2 ms each on average (the sum is asserted, so
+  // one preemption on a loaded host does not fail the test).
+  core::ThreadRendezvous rendezvous;
+  rendezvous.set_response_timeout(Micros{200});
+  ControlMessage msg;
+  msg.op = ControlOp::kGetSize;
+  ASSERT_OK(rendezvous.AF_SendControl(msg));
+  const auto first = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(rendezvous.AF_GetResponse().status().code(),
+              ErrorCode::kTimeout);
+    EXPECT_GE(std::chrono::steady_clock::now() - start, Micros{200})
+        << "call " << i;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - first,
+            std::chrono::milliseconds(40));
+}
+
+TEST(ThreadRendezvousTest, ShutdownWakesSpinningWaitersWithClosed) {
+  // Shutdown lands microseconds after each waiter starts, inside its spin
+  // on most rounds and after it parked on the rest; either way the wait
+  // ends in kClosed.
+  for (int round = 0; round < 50; ++round) {
+    core::ThreadRendezvous rendezvous;
+    std::atomic<int> started{0};
+    std::thread app_side([&] {
+      started.fetch_add(1);
+      EXPECT_EQ(rendezvous.AF_GetResponse().status().code(),
+                ErrorCode::kClosed);
+    });
+    std::thread sentinel_side([&] {
+      started.fetch_add(1);
+      EXPECT_EQ(rendezvous.AF_GetControl().status().code(),
+                ErrorCode::kClosed);
+    });
+    while (started.load() < 2) std::this_thread::yield();
+    rendezvous.Shutdown();
+    app_side.join();
+    sentinel_side.join();
+  }
 }
 
 TEST(ThreadRendezvousTest, SequentialCommands) {

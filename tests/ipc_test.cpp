@@ -5,6 +5,9 @@
 #include <chrono>
 #include <thread>
 
+#include <sched.h>
+
+#include "common/spin_wait.hpp"
 #include "ipc/framing.hpp"
 #include "ipc/named_mutex.hpp"
 #include "ipc/pipe.hpp"
@@ -95,6 +98,58 @@ TEST(PipeTest, SubMillisecondWaitReadableTimesOutOnTime) {
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(15));
+}
+
+TEST(PipeTest, ReadSomeSpinsInsideItsDeadline) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  // The spin before the ppoll counts against the read's own deadline, so
+  // an empty pipe still answers a 100 µs read with kTimeout on time.
+  std::uint8_t byte = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(pipe->read_end.ReadSome(MutableByteSpan(&byte, 1), Micros{100})
+                  .status()
+                  .code(),
+              ErrorCode::kTimeout);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(15));
+}
+
+TEST(PipeTest, ReadSomeWaitEndsAtEof) {
+  auto pipe = Pipe::Create();
+  ASSERT_OK(pipe.status());
+  std::thread closer([&] { pipe->write_end.Close(); });
+  std::uint8_t byte = 0;
+  auto n = pipe->read_end.ReadSome(MutableByteSpan(&byte, 1));
+  closer.join();
+  ASSERT_OK(n.status());
+  EXPECT_EQ(*n, 0u);
+}
+
+TEST(SpinWaitTest, BudgetIsAFunctionOfTheUsableCpuCount) {
+  // Pure in the CPU count: no thread is pinned to test the one-CPU rule.
+  static_assert(SpinBudgetFor(1) == Micros{0});
+  EXPECT_EQ(SpinBudgetFor(0), Micros{0});
+  EXPECT_EQ(SpinBudgetFor(1), Micros{0});
+  EXPECT_GT(SpinBudgetFor(2).count(), 0);
+  EXPECT_EQ(SpinBudgetFor(2), SpinBudgetFor(64));
+  // This process's budget is the same function of its affinity mask.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  EXPECT_EQ(SpinBudget(), SpinBudgetFor(CPU_COUNT(&set)));
+}
+
+TEST(SpinWaitTest, StopsAtTheDeadlineAndOnTheCondition) {
+  int polls = 0;
+  // A deadline already passed: one look at the condition, no spin.
+  EXPECT_FALSE(SpinWait([&] { return ++polls > 1000; },
+                        std::chrono::steady_clock::now()));
+  EXPECT_LE(polls, 1);
+  // A condition that holds ends the spin at once.
+  EXPECT_EQ(SpinWait([] { return true; }), SpinBudget().count() > 0);
 }
 
 TEST(FramingTest, RoundTripFrames) {

@@ -156,6 +156,29 @@ TEST_F(LintFixtureTest, NonblockingFlagsSeededViolationOnly) {
   EXPECT_EQ(code, 0) << out;
 }
 
+TEST_F(LintFixtureTest, NonblockingSeesGlobalCallOpeningABody) {
+  // `::read(...)` as the body's first statement is still read(2).
+  auto [code, out] = Lint("nonblocking", "nonblocking_body_start_bad.cpp");
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("PipeEnd::ReadByte"), std::string::npos);
+  EXPECT_NE(out.find("`read`"), std::string::npos);
+}
+
+TEST_F(LintFixtureTest, NonblockingTreatsUnsetDefaultedTimeoutAsUnbounded) {
+  // WriteFrame(pipe, payload) hands its defaulted timeout on to a WriteAll
+  // call whose arity alone would make it a bounded cut.
+  auto [code, out] = Lint("nonblocking", "nonblocking_unset_deadline_bad.cpp");
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find("SendBanner"), std::string::npos);
+  EXPECT_NE(out.find("WriteFrame -> fixture::PipeEnd::WriteAll"),
+            std::string::npos);
+  EXPECT_NE(out.find("`writev`"), std::string::npos);
+
+  std::tie(code, out) =
+      Lint("nonblocking", "nonblocking_unset_deadline_clean.cpp");
+  EXPECT_EQ(code, 0) << out;
+}
+
 TEST_F(LintFixtureTest, StatusDiscardFlagsBothShapesOnly) {
   auto [code, out] = Lint("status-discard", "status_discard_bad.cpp");
   EXPECT_EQ(code, 1);

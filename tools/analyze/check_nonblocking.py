@@ -25,6 +25,11 @@ Blocking policy (the lists below are the policy — edit them deliberately):
   a wedged peer into a `kTimeout`/`kBusy` the caller must handle.  Each
   transfer function is a single function whose timeout defaults to "wait
   forever", so the argument count is what tells the two calls apart.
+* an unset deadline is unbounded: a call that leaves a `timeout`
+  parameter at its default makes that parameter "unset" inside the
+  callee, and a call there that hands an unset deadline on is no cut —
+  `ipc::WriteFrame(pipe, payload)` reaches `writev` through
+  `pipe.WriteAll(bytes, timeout)`.
 * `afs::Mutex::Lock` / `MutexLock` are allowed: in-process critical
   sections are short by construction (the lock-order checker and TSan keep
   them honest); what kills an event loop is waiting on a *peer* while
@@ -99,7 +104,8 @@ def _is_blocking_call(call, fn, model):
             # carries a deadline and is the sanctioned variant.
             return "ReadFrame(no timeout)" if call.nargs <= 1 else None
         if name == "waitpid":
-            return None if "WNOHANG" in call.arg_idents else "waitpid"
+            return (None if any("WNOHANG" in arg for arg in call.args)
+                    else "waitpid")
         if name == "epoll_wait" or name == "epoll_pwait":
             return None  # timeout argument bounds it; -1 uses are the loop
         if name in BLOCKING_FREE:
@@ -137,8 +143,27 @@ def _is_blocking_call(call, fn, model):
     return None
 
 
-def _is_cut(call, fn, model):
+def _passes_unset(call, unset):
+    """True when an argument of `call` names an unset deadline."""
+    return any(arg & unset for arg in call.args)
+
+
+def _unset_deadlines(call, callee, unset):
+    """The callee's `timeout` parameters this call leaves unset: omitted
+    (so at their wait-forever default) or filled from an unset one."""
+    out = set()
+    for i, param in enumerate(callee.param_names):
+        if "timeout" not in param:
+            continue
+        if i >= call.nargs or (i < len(call.args) and call.args[i] & unset):
+            out.add(param)
+    return frozenset(out)
+
+
+def _is_cut(call, fn, model, unset=frozenset()):
     name = call.name
+    if _passes_unset(call, unset):
+        return False  # the bound it hands on is itself "wait forever"
     if name in BOUNDED_CUT_NAMES:
         return True
     if name == "ReadFrame" and call.nargs >= 2:
@@ -194,10 +219,12 @@ def run(model, roots=None):
             continue
         reported = set()
         # BFS so the reported chain is a shortest path to each primitive.
-        queue = deque([(root, ())])
-        visited = {root.qualname}
+        # A state is a function plus the deadline parameters left unset on
+        # the way in.
+        queue = deque([(root, (), frozenset())])
+        visited = {(root.qualname, frozenset())}
         while queue:
-            fn, path = queue.popleft()
+            fn, path, unset = queue.popleft()
             for call in fn.calls:
                 label = _is_blocking_call(call, fn, model)
                 if label is not None:
@@ -222,11 +249,13 @@ def run(model, roots=None):
                             f"({fn.path}:{call.line})"),
                     })
                     continue
-                if _is_cut(call, fn, model):
+                if _is_cut(call, fn, model, unset):
                     continue
                 for callee in _callees(call, fn, model):
-                    if callee.qualname in visited:
+                    state = (callee.qualname,
+                             _unset_deadlines(call, callee, unset))
+                    if state in visited:
                         continue
-                    visited.add(callee.qualname)
-                    queue.append((callee, path + (fn.qualname,)))
+                    visited.add(state)
+                    queue.append((callee, path + (fn.qualname,), state[1]))
     return findings

@@ -176,7 +176,7 @@ class Call:
     kind: str               # 'free' | 'method' | 'qualified'
     quals: tuple[str, ...]  # `ipc::ReadFrame` -> ('ipc',); `::read` -> ('',)
     recv: tuple[str, ...]   # `fds_.pipe->Close()` -> ('fds_', 'pipe')
-    arg_idents: frozenset[str]  # top-level identifier spellings in the args
+    args: tuple[frozenset[str], ...]  # identifier spellings, one set per arg
 
 
 @dataclasses.dataclass
@@ -227,6 +227,7 @@ class Function:
     params_text: str
     annotations: set[str]
     nparams: int
+    param_names: list[str] = dataclasses.field(default_factory=list)
     calls: list[Call] = dataclasses.field(default_factory=list)
     local_types: dict[str, str] = dataclasses.field(default_factory=dict)
     is_defn: bool = True
@@ -624,9 +625,12 @@ class _Parser:
     def _harvest_params(self, fn: Function, ptoks: list[Tok]) -> None:
         for group in _split_toplevel(ptoks):
             decl = [t for t in group if t.text not in _STORAGE]
-            while decl and decl[-1].text in ("=",):
-                decl = decl[:-1]
-            if len(decl) >= 2 and decl[-1].kind == "ident":
+            if any(t.text == "=" for t in decl):  # drop a default argument
+                decl = decl[:next(i for i, t in enumerate(decl)
+                                  if t.text == "=")]
+            named = len(decl) >= 2 and decl[-1].kind == "ident"
+            fn.param_names.append(decl[-1].text if named else "")
+            if named:
                 tname = _last_type_ident(decl[:-1])
                 if tname:
                     fn.local_types[decl[-1].text] = tname
@@ -698,7 +702,7 @@ class _Parser:
             elif pt == "::":
                 quals: list[str] = []
                 j = k - 1
-                while j > lo and toks[j].text == "::":
+                while j >= lo and toks[j].text == "::":
                     if j - 1 >= lo and toks[j - 1].kind == "ident":
                         quals.insert(0, toks[j - 1].text)
                         j -= 2
@@ -736,9 +740,10 @@ class _Parser:
                    call_end: int) -> Call:
         args = self.toks[open_paren + 1:call_end - 1]
         nargs = _count_toplevel_commas(args)
-        idents = frozenset(a.text for a in args if a.kind == "ident")
+        per_arg = tuple(frozenset(a.text for a in group if a.kind == "ident")
+                        for group in _split_toplevel(args, angles=False))
         return Call(name=t.text, line=t.line, nargs=nargs, kind=kind,
-                    quals=quals, recv=recv, arg_idents=idents)
+                    quals=quals, recv=recv, args=per_arg)
 
 
 def _count_toplevel_commas(toks: list[Tok]) -> int:
@@ -756,13 +761,18 @@ def _count_toplevel_commas(toks: list[Tok]) -> int:
     return count
 
 
-def _split_toplevel(toks: list[Tok]) -> Iterable[list[Tok]]:
+def _split_toplevel(toks: list[Tok],
+                    angles: bool = True) -> Iterable[list[Tok]]:
+    """Comma-separated groups; `angles` nests `<…>` too (declarations,
+    not expressions, where `<` may be a comparison)."""
+    opens = ("(", "[", "{", "<") if angles else ("(", "[", "{")
+    closes = (")", "]", "}", ">") if angles else (")", "]", "}")
     depth = 0
     group: list[Tok] = []
     for t in toks:
-        if t.text in ("(", "[", "{", "<"):
+        if t.text in opens:
             depth += 1
-        elif t.text in (")", "]", "}", ">"):
+        elif t.text in closes:
             depth -= 1
         if t.text == "," and depth == 0:
             yield group
